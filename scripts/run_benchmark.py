@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark sweep driver: Sinkhorn vs Screenkhorn on Gaussian point clouds.
 
-Sweeps eta x budget x trial on squared-Euclidean costs between two seeded
+Sweeps eta x budget x trial on Euclidean distance costs between two seeded
 Gaussian samples, writes one CSV row per trial, and prints per-cell means.
 Edit the constants below to change the sweep; pass --quick for a small
 smoke-sized run (useful when touching the solver).

@@ -38,7 +38,6 @@ from .diagnostics import (
     marginal_norm_certificates,
     marginal_violations,
     omega_kappa,
-    oracle_solve,
     pinsker_check,
     rho_distance,
     violation_certificate_cols,
@@ -51,7 +50,6 @@ from .errors import (
     InfeasibleBoundsError,
     InputError,
     NumericRangeError,
-    OracleFailureError,
     ParameterError,
     ScreenkhornError,
     ShapeError,
@@ -83,7 +81,6 @@ __all__ = [
     "InfeasibleBoundsError",
     "InputError",
     "NumericRangeError",
-    "OracleFailureError",
     "ParameterError",
     "ResultRow",
     "ScreenedDualProblem",
@@ -110,7 +107,6 @@ __all__ = [
     "marginal_violations",
     "minimize",
     "omega_kappa",
-    "oracle_solve",
     "pairwise_euclidean",
     "pinsker_check",
     "plan_from_potentials",

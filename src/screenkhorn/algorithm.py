@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -42,6 +41,9 @@ from .screening import (
     ratio_vectors,
 )
 from .solver import SolverConfig, SolverReport, minimize, restricted_sinkhorn
+
+# restricted scaling sweeps on the active block that warm start the solve
+_WARM_START_SWEEPS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +87,6 @@ def screenkhorn(
     n_b: int,
     m_b: int,
     solver_config: SolverConfig | None = None,
-    restricted_iters: int = 3,
-    bounds_variant: Literal["algorithm", "proposition"] = "algorithm",
     materialize_plan: bool = True,
 ) -> ScreenkhornResult:
     """Screen, warm start, solve the reduced dual, reassemble.
@@ -112,13 +112,14 @@ def screenkhorn(
         sr = active_sets(mu, nu, K, eps, kap)
         problem = build_problem(mu, nu, K, sr)
     with _step("bounds"):
-        bounds = box_bounds(problem, mu, nu, budget, n, m, variant=bounds_variant)
+        bounds = box_bounds(problem, budget)
     with _step("warm start"):
         a0 = np.full(problem.n_active, eps / kap)
         b0 = np.full(problem.m_active, eps * kap)
-        a, b = restricted_sinkhorn(problem, a0, b0, restricted_iters)
+        a, b = restricted_sinkhorn(problem, a0, b0, _WARM_START_SWEEPS)
         lower, upper = bounds.stacked(problem.n_active, problem.m_active)
-        theta0 = np.clip(np.concatenate([np.log(a), np.log(b)]), lower, upper)
+        # minimize() clips the start into the box
+        theta0 = np.concatenate([np.log(a), np.log(b)])
     screening_time = time.perf_counter() - t_screen
 
     k = problem.n_active

@@ -66,8 +66,10 @@ class ExperimentConfig:
             raise ParameterError(f"sizes must be positive, got ({self.n}, {self.m})")
         if not self.eta_list:
             raise ParameterError("eta_list must be nonempty")
-        if any(not (e > 0.0) for e in self.eta_list):
-            raise ParameterError(f"every eta must be positive, got {self.eta_list}")
+        if any(not (0.0 < e < np.inf) for e in self.eta_list):
+            raise ParameterError(
+                f"every eta must be positive and finite, got {self.eta_list}"
+            )
         if not self.budget_list:
             raise ParameterError("budget_list must be nonempty")
         if any(not (0.0 < b <= 1.0) for b in self.budget_list):

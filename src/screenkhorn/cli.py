@@ -112,18 +112,6 @@ def _load_inputs(measures, mu_path, nu_path, cost_path):
     return mu, nu, C
 
 
-def _check_eta(eta: float) -> float:
-    if not (eta > 0.0) or not np.isfinite(eta):
-        raise InputError(f"eta must be positive and finite, got {eta}")
-    return eta
-
-
-def _check_budget_factor(budget: float) -> float:
-    if not (0.0 < budget <= 1.0):
-        raise InputError(f"budget factor must be in (0, 1], got {budget}")
-    return budget
-
-
 @click.group()
 def main():
     """Benchmark and solve entropic transport with screened duals."""
@@ -160,10 +148,8 @@ def run_cmd(n, m, eta, budget, trials, seed, normalize_cost, certify, pg_tol,
     cfg = ExperimentConfig(
         n=n,
         m=m,
-        eta_list=tuple(_check_eta(e) for e in _parse_float_list(eta, "eta")),
-        budget_list=tuple(
-            _check_budget_factor(b) for b in _parse_budget_spec(budget)
-        ),
+        eta_list=_parse_float_list(eta, "eta"),
+        budget_list=_parse_budget_spec(budget),
         trials=trials,
         seed=seed,
         normalize_cost=normalize_cost,
@@ -220,8 +206,6 @@ def _with_input_options(fn):
 def solve_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol, out):
     """Solve one instance with the screened dual and report the solution."""
     mu, nu, C = _load_inputs(measures, mu_path, nu_path, cost)
-    _check_eta(eta)
-    _check_budget_factor(budget)
     n_b, m_b = decimation_to_budget(mu.size, nu.size, budget)
     res = screenkhorn(
         C, eta, mu, nu, n_b, m_b,
@@ -260,8 +244,6 @@ def compare_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol,
                 sinkhorn_threshold, sinkhorn_max_iter):
     """Run both solvers on one instance and print paired metrics."""
     mu, nu, C = _load_inputs(measures, mu_path, nu_path, cost)
-    _check_eta(eta)
-    _check_budget_factor(budget)
     n_b, m_b = decimation_to_budget(mu.size, nu.size, budget)
     outcome = compare_solvers(
         C, eta, mu, nu, n_b, m_b,

@@ -163,13 +163,16 @@ def gibbs_kernel(C: CostMatrix, eta: float) -> GibbsKernel:
     if not np.isfinite(eta) or eta <= 0.0:
         raise ParameterError(f"eta must be positive and finite, got {eta}")
     k = np.exp(-C.entries / eta)
-    if np.any(k == 0.0):
+    # exp of a finite nonpositive number lies in [0, 1], so the kernel's own
+    # range check can only reject an entry that underflowed to zero
+    try:
+        return GibbsKernel(k, eta)
+    except InputError:
         i, j = map(int, np.argwhere(k == 0.0)[0])
         raise NumericRangeError(
             f"kernel entry ({i}, {j}) underflowed to zero: cost {C.entries[i, j]} "
             f"is too large for eta = {eta}"
-        )
-    return GibbsKernel(k, eta)
+        ) from None
 
 
 def plan_from_potentials(pot: DualPotentials, K: GibbsKernel) -> TransportPlan:

@@ -4,10 +4,6 @@ Each certificate compares an empirical quantity from a finished run against
 an explicit bound evaluated term by term from the problem data. A certificate
 is satisfied when empirical <= bound * (1 + 1e-9) + 1e-12; the slack only
 absorbs floating point noise, never looseness of the bound itself.
-
-oracle_solve is an independent projected gradient method used by the test
-suite as ground truth against minimize(). It shares no code with the
-quasi-Newton path.
 """
 
 from __future__ import annotations
@@ -18,9 +14,7 @@ import numpy as np
 
 from .algorithm import ScreenkhornResult
 from .core import CostMatrix, DiscreteMeasure, TransportPlan
-from .errors import InputError, OracleFailureError, ShapeError
-from .screened import ScreenedDualProblem, gradient, objective
-from .solver import projected_gradient
+from .errors import InputError, ShapeError
 
 _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-12
@@ -241,75 +235,3 @@ def gap_diagnostic(
     row = float(np.abs(result.row_marginal - mu.weights).sum())
     col = float(np.abs(result.col_marginal - nu.weights).sum())
     return float(scale * (row + col + omega_kappa(result)))
-
-
-def oracle_solve(
-    p: ScreenedDualProblem,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 10_000_000,
-) -> np.ndarray:
-    """Projected gradient descent on the stacked screened dual, to high accuracy.
-
-    Step sizes follow a diminishing-then-backtracking scheme: the trial step
-    adapts across iterations (a Barzilai-Borwein ratio, clipped), and within
-    an iteration it is halved until the projected step satisfies a sufficient
-    decrease test. Ground truth for small instances only; refuses more than
-    64 variables and raises if the iteration cap is hit.
-    """
-    dim = p.n_active + p.m_active
-    if dim > 64:
-        raise InputError(f"oracle limited to 64 variables, got {dim}")
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    if lower.shape != (dim,) or upper.shape != (dim,):
-        raise ShapeError(
-            f"bounds of shapes {lower.shape}, {upper.shape} do not match "
-            f"{dim} variables"
-        )
-    if not (tol > 0.0):
-        raise InputError(f"tol must be positive, got {tol}")
-    k = p.n_active
-
-    def func(x: np.ndarray) -> float:
-        return objective(p, x[:k], x[k:])
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return np.concatenate(gradient(p, x[:k], x[k:]))
-
-    x = np.clip(np.zeros(dim), lower, upper)
-    f = func(x)
-    g = grad(x)
-    step = 1.0
-    for _ in range(max_iter):
-        pg = projected_gradient(x, g, lower, upper)
-        if np.abs(pg).max() < tol:
-            return x
-        trial = step
-        x_new = x
-        f_new = f
-        for _ in range(200):
-            cand = np.clip(x - trial * g, lower, upper)
-            move = cand - x
-            f_cand = func(cand)
-            if f_cand <= f + 1e-4 * float(g @ move):
-                x_new, f_new = cand, f_cand
-                break
-            trial *= 0.5
-        else:
-            # no acceptable step at any scale, flat to machine precision
-            raise OracleFailureError(
-                f"line search stalled with projected gradient {np.abs(pg).max()}"
-            )
-        g_new = grad(x_new)
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 0.0 else 1.0
-        step = min(max(step, 1e-8), 1e8)
-        x, f, g = x_new, f_new, g_new
-    raise OracleFailureError(
-        f"no convergence to {tol} within {max_iter} iterations "
-        f"(projected gradient {np.abs(projected_gradient(x, g, lower, upper)).max()})"
-    )

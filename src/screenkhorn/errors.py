@@ -39,9 +39,5 @@ class InfeasibleBoundsError(ScreenkhornError):
     """Computed box bounds came out with lower above upper."""
 
 
-class OracleFailureError(ScreenkhornError):
-    """The verification oracle hit its iteration cap without converging."""
-
-
 class CertificateViolationError(ScreenkhornError):
     """A theory certificate failed on a converged run."""

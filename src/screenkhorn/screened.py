@@ -18,7 +18,6 @@ the full constrained dual exactly; tests rely on that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -197,24 +196,16 @@ def gradient(
     return grad_u, grad_v
 
 
-def box_bounds(
-    p: ScreenedDualProblem,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    budget: Budget,
-    n: int,
-    m: int,
-    variant: Literal["algorithm", "proposition"] = "algorithm",
-) -> BoxBounds:
+def box_bounds(p: ScreenedDualProblem, budget: Budget) -> BoxBounds:
     """Log-domain box containing the optimum of the screened problem.
 
-    The default "algorithm" variant guards the inner denominator term with a
-    max against epsilon, which only loosens the lower bounds. The
-    "proposition" variant drops the guard. Both share the same uppers.
+    The inner denominator terms are guarded with a max against epsilon,
+    which only loosens the lower bounds.
     """
     eps = p.epsilon
     kap = p.kappa
     k_min = p.k_min
+    n, m = p.n, p.m
     n_b = budget.n_b
     m_b = budget.m_b
     mu_lo = float(p.mu_active.min())
@@ -222,13 +213,8 @@ def box_bounds(
     nu_lo = float(p.nu_active.min())
     nu_hi = float(p.nu_active.max())
 
-    u_inner = nu_hi / (n * eps * kap * k_min)
-    v_inner = kap * mu_hi / (m * eps * k_min)
-    if variant == "algorithm":
-        u_inner = max(eps, u_inner)
-        v_inner = max(eps, v_inner)
-    elif variant != "proposition":
-        raise ValueError(f"unknown bounds variant {variant!r}")
+    u_inner = max(eps, nu_hi / (n * eps * kap * k_min))
+    v_inner = max(eps, kap * mu_hi / (m * eps * k_min))
 
     u_lower_arg = max(eps / kap, mu_lo / (eps * (m - m_b) + u_inner * m_b))
     v_lower_arg = max(eps * kap, nu_lo / (eps * (n - n_b) + v_inner * n_b))

@@ -44,8 +44,6 @@ class ScreeningResult:
     kappa: float
     active_rows: np.ndarray
     active_cols: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray
 
     @property
     def n_active(self) -> int:
@@ -104,7 +102,7 @@ def active_sets(
     epsilon: float,
     kappa: float,
 ) -> ScreeningResult:
-    """Indices passing the screening test, plus the sorted ratio vectors."""
+    """Indices passing the screening test."""
     if not (epsilon > 0.0) or not (kappa > 0.0):
         raise ParameterError(
             f"epsilon and kappa must be positive, got ({epsilon}, {kappa})"
@@ -127,5 +125,4 @@ def active_sets(
             f"screening left no free variables (|I| = {active_rows.size}, "
             f"|J| = {active_cols.size}) for epsilon = {epsilon}, kappa = {kappa}"
         )
-    xi, zeta = ratio_vectors(mu, nu, K)
-    return ScreeningResult(float(epsilon), float(kappa), active_rows, active_cols, xi, zeta)
+    return ScreeningResult(float(epsilon), float(kappa), active_rows, active_cols)

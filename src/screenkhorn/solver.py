@@ -21,20 +21,23 @@ from .errors import InputError, ParameterError, ShapeError
 from .screened import ScreenedDualProblem
 
 
+# L-BFGS-B memory (correction pairs kept) and its cap on objective evaluations
+_HISTORY_SIZE = 10
+_MAX_EVALUATIONS = 100_000
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     pg_tolerance: float = 1e-6
     max_iterations: int = 100_000
-    max_evaluations: int = 100_000
-    history_size: int = 10
 
     def __post_init__(self):
         if not (self.pg_tolerance > 0.0):
             raise ParameterError(f"pg_tolerance must be positive, got {self.pg_tolerance}")
-        if self.max_iterations < 1 or self.max_evaluations < 1:
-            raise ParameterError("iteration and evaluation caps must be at least 1")
-        if self.history_size < 1:
-            raise ParameterError(f"history_size must be at least 1, got {self.history_size}")
+        if self.max_iterations < 1:
+            raise ParameterError(
+                f"max_iterations must be at least 1, got {self.max_iterations}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +123,6 @@ def minimize(
         raise InputError(f"lower[{bad}] = {lower[bad]} exceeds upper[{bad}] = {upper[bad]}")
 
     x0 = np.clip(start, lower, upper)
-    pairs = [
-        (lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-        for lo, hi in zip(lower, upper)
-    ]
 
     def fused(x: np.ndarray) -> tuple[float, np.ndarray]:
         return objective(x), np.asarray(gradient(x), dtype=np.float64)
@@ -131,12 +130,13 @@ def minimize(
     x, _, info = fmin_l_bfgs_b(
         fused,
         x0,
-        bounds=pairs,
-        m=config.history_size,
+        # SciPy reads an infinite entry as "unbounded on that side"
+        bounds=list(zip(lower.tolist(), upper.tolist())),
+        m=_HISTORY_SIZE,
         factr=0.0,
         pgtol=config.pg_tolerance,
         maxiter=config.max_iterations,
-        maxfun=config.max_evaluations,
+        maxfun=_MAX_EVALUATIONS,
     )
 
     # recheck at the (defensively clipped) returned point; this evaluation is

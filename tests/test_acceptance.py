@@ -25,7 +25,6 @@ from screenkhorn import (
     epsilon_kappa,
     minimize,
     omega_kappa,
-    oracle_solve,
     pinsker_check,
     plan_from_potentials,
     ratio_vectors,
@@ -40,6 +39,7 @@ from screenkhorn import (
 from screenkhorn._rng import derive_seed, uniforms
 from screenkhorn.screened import gradient, objective
 from conftest import random_instance, ring_instance, symmetric_instance
+from oracle import oracle_solve
 
 MASTER_SEED = 20260819
 PG_TOL = 1e-8
@@ -138,7 +138,7 @@ def test_criterion_2_screening_safety():
         eps, kap = epsilon_kappa(xi, zeta, Budget(min(n_b, n), min(m_b, m)))
         sr = active_sets(mu, nu, K, eps, kap)
 
-        everything = ScreeningResult(eps, kap, np.arange(n), np.arange(m), xi, zeta)
+        everything = ScreeningResult(eps, kap, np.arange(n), np.arange(m))
         p = build_problem(mu, nu, K, everything)
         lower = np.concatenate(
             [np.full(n, math.log(eps / kap)), np.full(m, math.log(eps * kap))]
@@ -176,7 +176,7 @@ def test_criterion_3_solver_equivalence():
             mu, nu, K, sr, p = _screened(
                 4000 + attempts, n, m, min(n_b, n), min(m_b, m)
             )
-            bounds = box_bounds(p, mu, nu, Budget(min(n_b, n), min(m_b, m)), n, m)
+            bounds = box_bounds(p, Budget(min(n_b, n), min(m_b, m)))
         except InfeasibleBoundsError:
             # tiny budgets can produce an empty box; that is a typed error by
             # design and not a solvable problem for either method

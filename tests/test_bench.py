@@ -69,6 +69,7 @@ class TestExperimentConfig:
             dict(budget_list=(0.0,)),
             dict(budget_list=(1.2,)),
             dict(trials=0),
+            dict(eta_list=(float("inf"),)),
         ],
     )
     def test_rejects_bad_parameters(self, overrides):

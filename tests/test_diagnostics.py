@@ -9,7 +9,6 @@ from screenkhorn import (
     DiscreteMeasure,
     GibbsKernel,
     InputError,
-    OracleFailureError,
     ScreeningResult,
     ShapeError,
     SolverConfig,
@@ -21,7 +20,6 @@ from screenkhorn import (
     marginal_norm_certificates,
     marginal_violations,
     omega_kappa,
-    oracle_solve,
     pinsker_check,
     ratio_vectors,
     rho_distance,
@@ -32,14 +30,14 @@ from screenkhorn import (
 from screenkhorn.diagnostics import Certificate, _certify
 from screenkhorn.screened import objective
 from conftest import random_instance, symmetric_instance
+from oracle import OracleFailureError, oracle_solve
 
 
 def scalar_problem():
     """1x1 fully active problem whose objective is e^{u+v} - u - v."""
     mu = DiscreteMeasure(np.array([1.0]))
     K = GibbsKernel(np.ones((1, 1)), 1.0)
-    dummy = np.array([1.0])
-    sr = ScreeningResult(1.0, 1.0, np.array([0]), np.array([0]), dummy, dummy)
+    sr = ScreeningResult(1.0, 1.0, np.array([0]), np.array([0]))
     return build_problem(mu, mu, K, sr)
 
 
@@ -300,8 +298,7 @@ class TestOracleSolve:
 
     def test_refuses_large_problems(self):
         mu, nu, _, K = random_instance(5, 33, 33)
-        dummy = np.array([1.0])
-        sr = ScreeningResult(1.0, 1.0, np.arange(33), np.arange(33), dummy, dummy)
+        sr = ScreeningResult(1.0, 1.0, np.arange(33), np.arange(33))
         p = build_problem(mu, nu, K, sr)
         with pytest.raises(InputError, match="64 variables"):
             oracle_solve(p, np.full(66, -1.0), np.full(66, 1.0))
@@ -336,7 +333,7 @@ class TestScreeningSafety:
         eps, kap = epsilon_kappa(xi, zeta, Budget(n_b, m_b))
         sr = active_sets(mu, nu, K, eps, kap)
 
-        everything = ScreeningResult(eps, kap, np.arange(n), np.arange(m), xi, zeta)
+        everything = ScreeningResult(eps, kap, np.arange(n), np.arange(m))
         p = build_problem(mu, nu, K, everything)
         lower = np.concatenate(
             [np.full(n, np.log(eps / kap)), np.full(m, np.log(eps * kap))]

@@ -29,8 +29,7 @@ def forced_screening(eps, kap, rows, cols):
     """ScreeningResult with hand-picked thresholds and active sets."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    dummy = np.array([1.0])
-    return ScreeningResult(float(eps), float(kap), rows, cols, dummy, dummy)
+    return ScreeningResult(float(eps), float(kap), rows, cols)
 
 
 def screened_problem(seed, n, m, n_b, m_b, eta=1.0):
@@ -239,7 +238,7 @@ class TestBoxBounds:
         assert eps == pytest.approx(0.5, rel=1e-15)
         assert kap == 1.0
         p = build_problem(mu, mu, K, active_sets(mu, mu, K, eps, kap))
-        bb = box_bounds(p, mu, mu, Budget(2, 2), 2, 2)
+        bb = box_bounds(p, Budget(2, 2))
         expect = math.log(0.5)
         assert bb.u_lower == pytest.approx(expect, rel=1e-15)
         assert bb.u_upper == pytest.approx(expect, rel=1e-15)
@@ -254,7 +253,7 @@ class TestBoxBounds:
     def test_lower_bounds_dominate_thresholds(self, seed, n_b, m_b):
         mu, nu, K, sr, p = screened_problem(seed, 6, 5, n_b, m_b)
         try:
-            bb = box_bounds(p, mu, nu, Budget(n_b, m_b), 6, 5, variant="algorithm")
+            bb = box_bounds(p, Budget(n_b, m_b))
         except InfeasibleBoundsError:
             # extreme budgets can push the formulas past each other, which
             # is reported as a typed error rather than a silent bad box
@@ -270,31 +269,29 @@ class TestBoxBounds:
     def test_guard_only_loosens_lower_bounds(self, seed, n_b, m_b):
         mu, nu, K, sr, p = screened_problem(seed, 6, 5, n_b, m_b)
         try:
-            guarded = box_bounds(
-                p, mu, nu, Budget(n_b, m_b), 6, 5, variant="algorithm"
-            )
-            plain = box_bounds(
-                p, mu, nu, Budget(n_b, m_b), 6, 5, variant="proposition"
-            )
+            guarded = box_bounds(p, Budget(n_b, m_b))
         except InfeasibleBoundsError:
             return
-        assert guarded.u_lower <= plain.u_lower + 1e-12
-        assert guarded.v_lower <= plain.v_lower + 1e-12
-        assert guarded.u_upper == plain.u_upper
-        assert guarded.v_upper == plain.v_upper
+        # the lower bounds without the max-against-epsilon guard
+        eps, kap, k_min, n, m = p.epsilon, p.kappa, p.k_min, 6, 5
+        mu_hi, nu_hi = p.mu_active.max(), p.nu_active.max()
+        u_inner = nu_hi / (n * eps * kap * k_min)
+        v_inner = kap * mu_hi / (m * eps * k_min)
+        plain_u_lower = math.log(
+            max(eps / kap, p.mu_active.min() / (eps * (m - m_b) + u_inner * m_b))
+        )
+        plain_v_lower = math.log(
+            max(eps * kap, p.nu_active.min() / (eps * (n - n_b) + v_inner * n_b))
+        )
+        assert guarded.u_lower <= plain_u_lower + 1e-12
+        assert guarded.v_lower <= plain_v_lower + 1e-12
 
     def test_empty_box_raises_typed_error(self):
         # budget of one row and one column pushes the lower formulas past
         # the uppers on this instance; the error reports both intervals
         mu, nu, K, sr, p = screened_problem(1, 6, 5, 1, 1)
-        for variant in ("algorithm", "proposition"):
-            with pytest.raises(InfeasibleBoundsError, match=r"u in \["):
-                box_bounds(p, mu, nu, Budget(1, 1), 6, 5, variant=variant)
-
-    def test_unknown_variant_rejected(self):
-        mu, nu, K, sr, p = screened_problem(4, 4, 4, 2, 2)
-        with pytest.raises(ValueError):
-            box_bounds(p, mu, nu, Budget(2, 2), 4, 4, variant="loose")
+        with pytest.raises(InfeasibleBoundsError, match=r"u in \["):
+            box_bounds(p, Budget(1, 1))
 
     def test_infeasible_box_rejected(self):
         with pytest.raises(InfeasibleBoundsError):

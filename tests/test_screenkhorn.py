@@ -186,19 +186,12 @@ class TestFirstOrderConditions:
 
 class TestRobustness:
     def test_unconverged_run_still_assembles(self):
-        res = solve_random(
-            20, 7, 7, 4, 4, pg_tol=1e-8, restricted_iters=0,
-        )
         cheap = SolverConfig(pg_tolerance=1e-14, max_iterations=1)
         mu, nu, C, _ = random_instance(21, 7, 7)
         limited = screenkhorn(C, 1.0, mu, nu, 4, 4, solver_config=cheap)
         assert not limited.solver_report.converged
         assert limited.plan is not None
         assert np.isfinite(limited.plan.entries).all()
-
-    def test_zero_restricted_iters(self):
-        res = solve_random(22, 6, 6, 3, 3, restricted_iters=0)
-        assert res.solver_report.converged
 
     def test_infeasible_bounds_named_step(self):
         mu, nu, C, _ = random_instance(1, 6, 5)

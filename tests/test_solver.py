@@ -15,13 +15,13 @@ from screenkhorn import (
     build_problem,
     epsilon_kappa,
     minimize,
-    oracle_solve,
     ratio_vectors,
     restricted_sinkhorn,
 )
 from screenkhorn.solver import projected_gradient
 from screenkhorn.screened import gradient, objective
 from conftest import random_instance
+from oracle import oracle_solve
 
 
 def screened_setup(seed, n, m, n_b, m_b):
@@ -30,7 +30,7 @@ def screened_setup(seed, n, m, n_b, m_b):
     eps, kap = epsilon_kappa(xi, zeta, Budget(n_b, m_b))
     sr = active_sets(mu, nu, K, eps, kap)
     p = build_problem(mu, nu, K, sr)
-    bb = box_bounds(p, mu, nu, Budget(n_b, m_b), n, m)
+    bb = box_bounds(p, Budget(n_b, m_b))
     return p, bb
 
 
@@ -52,8 +52,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.pg_tolerance == 1e-6
         assert cfg.max_iterations == 100_000
-        assert cfg.max_evaluations == 100_000
-        assert cfg.history_size == 10
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -61,8 +59,6 @@ class TestSolverConfig:
             {"pg_tolerance": 0.0},
             {"pg_tolerance": -1e-6},
             {"max_iterations": 0},
-            {"max_evaluations": 0},
-            {"history_size": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -124,6 +120,22 @@ class TestMinimizeQuadratics:
             SolverConfig(pg_tolerance=1e-10),
         )
         np.testing.assert_allclose(report.solution, c, atol=1e-8)
+        assert report.converged
+
+    def test_infinite_bounds_are_unbounded(self):
+        # -inf lower and +inf upper entries leave the quadratic free, so the
+        # solve reaches its interior optimum however far from the start
+        c = np.array([40.0, -70.0, 0.5])
+        report = minimize(
+            lambda x: float(((x - c) ** 2).sum()),
+            lambda x: 2.0 * (x - c),
+            np.full(3, -np.inf),
+            np.full(3, np.inf),
+            np.zeros(3),
+            SolverConfig(pg_tolerance=1e-10),
+        )
+        np.testing.assert_allclose(report.solution, c, atol=1e-8)
+        assert report.projected_gradient_inf_norm <= 1e-10
         assert report.converged
 
     def test_mixed_kkt_point(self):
