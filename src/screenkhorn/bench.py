@@ -30,6 +30,7 @@ from .core import (
 from .diagnostics import (
     Certificate,
     marginal_norm_certificates,
+    marginal_violations,
     pinsker_check,
     violation_certificate_cols,
     violation_certificate_rows,
@@ -198,8 +199,7 @@ def compare_solvers(
         materialize_plan=False,
     )
 
-    row_violation = float(np.abs(screened.row_marginal - mu.weights).sum())
-    col_violation = float(np.abs(screened.col_marginal - nu.weights).sum())
+    row_violation, col_violation = marginal_violations(screened, mu, nu)
     cost_star = _plan_cost(C, K.entries, baseline.potentials.u, baseline.potentials.v)
     cost_screen = _plan_cost(
         C, K.entries, screened.potentials.u, screened.potentials.v
@@ -266,8 +266,6 @@ def run_experiment(
     cfg: ExperimentConfig,
     certify: bool = False,
     solver_config: SolverConfig | None = None,
-    sinkhorn_threshold: float = 1e-9,
-    sinkhorn_max_iter: int = 1000,
     progress: Callable[[str], None] | None = None,
 ) -> tuple[list[ResultRow], list[tuple[ResultRow, Certificate]]]:
     """Sweep eta x budget x trial, writing CSV rows as they complete.
@@ -291,10 +289,7 @@ def run_experiment(
             wc = pairwise_euclidean(wx, wy, cfg.normalize_cost)
             n_b, m_b = decimation_to_budget(cfg.n, cfg.m, cfg.budget_list[0])
             try:
-                compare_solvers(
-                    wc, eta, mu, nu, n_b, m_b,
-                    solver_config, sinkhorn_threshold, sinkhorn_max_iter,
-                )
+                compare_solvers(wc, eta, mu, nu, n_b, m_b, solver_config)
             except ScreenkhornError:
                 pass
             say(f"eta={eta}: warm-up done")
@@ -307,8 +302,7 @@ def run_experiment(
                     C = pairwise_euclidean(x, y, cfg.normalize_cost)
                     try:
                         outcome = compare_solvers(
-                            C, eta, mu, nu, n_b, m_b,
-                            solver_config, sinkhorn_threshold, sinkhorn_max_iter,
+                            C, eta, mu, nu, n_b, m_b, solver_config
                         )
                         row = ResultRow(
                             eta=eta,
@@ -373,6 +367,16 @@ def _parse_float(
     return value
 
 
+def _parse_weight(text: str, path: str, line: int, column: str) -> float:
+    value = _parse_float(text, path, line, column)
+    if value <= 0.0:
+        raise InputError(
+            f"{path}: line {line}, column {column}: weight {value} "
+            "is not strictly positive"
+        )
+    return value
+
+
 def write_measures(path: str, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     """Header index,mu,nu; the shorter side is padded with blank cells."""
     with open(path, "w", newline="") as fh:
@@ -409,15 +413,8 @@ def load_measures(path: str) -> tuple[DiscreteMeasure, DiscreteMeasure]:
                 (record[1], "mu", mu_vals),
                 (record[2], "nu", nu_vals),
             ):
-                if not cell.strip():
-                    continue
-                value = _parse_float(cell, path, line_no, column)
-                if value <= 0.0:
-                    raise InputError(
-                        f"{path}: line {line_no}, column {column}: weight {value} "
-                        "is not strictly positive"
-                    )
-                acc.append(value)
+                if cell.strip():
+                    acc.append(_parse_weight(cell, path, line_no, column))
     if not mu_vals or not nu_vals:
         raise InputError(f"{path}: at least one weight per measure is required")
     return DiscreteMeasure(np.array(mu_vals)), DiscreteMeasure(np.array(nu_vals))
@@ -449,13 +446,7 @@ def load_single_measure(path: str) -> DiscreteMeasure:
                 raise InputError(
                     f"{path}: line {line_no}: expected 2 cells, got {len(record)}"
                 )
-            value = _parse_float(record[1], path, line_no, column)
-            if value <= 0.0:
-                raise InputError(
-                    f"{path}: line {line_no}, column {column}: weight {value} "
-                    "is not strictly positive"
-                )
-            vals.append(value)
+            vals.append(_parse_weight(record[1], path, line_no, column))
     if not vals:
         raise InputError(f"{path}: no weights found")
     return DiscreteMeasure(np.array(vals))
@@ -498,14 +489,22 @@ def load_cost(path: str) -> CostMatrix:
     return CostMatrix(np.array(rows))
 
 
-def load_problem(
-    measures_path: str, cost_path: str
+def _with_cost(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cost_path: str, measures_from: str
 ) -> tuple[DiscreteMeasure, DiscreteMeasure, CostMatrix]:
-    mu, nu = load_measures(measures_path)
+    """(mu, nu, C) with C read from cost_path and checked against the measure
+    sizes; measures_from names the file(s) the measures came from."""
     C = load_cost(cost_path)
     if C.shape != (mu.size, nu.size):
         raise InputError(
             f"{cost_path}: cost shape {C.shape} does not match measure sizes "
-            f"({mu.size}, {nu.size}) from {measures_path}"
+            f"({mu.size}, {nu.size}) from {measures_from}"
         )
     return mu, nu, C
+
+
+def load_problem(
+    measures_path: str, cost_path: str
+) -> tuple[DiscreteMeasure, DiscreteMeasure, CostMatrix]:
+    mu, nu = load_measures(measures_path)
+    return _with_cost(mu, nu, cost_path, measures_path)

@@ -10,21 +10,20 @@ import functools
 import sys
 
 import click
-import numpy as np
 
 from .algorithm import decimation_to_budget, screenkhorn
 from .bench import (
     DEFAULT_ETA_GRID,
     ExperimentConfig,
+    _with_cost,
     certify_outcome,
     compare_solvers,
-    load_cost,
     load_problem,
     load_single_measure,
     run_experiment,
     write_matrix,
 )
-from .diagnostics import gap_diagnostic, omega_kappa
+from .diagnostics import gap_diagnostic, marginal_violations, omega_kappa
 from .errors import (
     CertificateViolationError,
     InputError,
@@ -101,15 +100,12 @@ def _load_inputs(measures, mu_path, nu_path, cost_path):
         return load_problem(measures, cost_path)
     if mu_path is None or nu_path is None:
         raise InputError("measures are required: --measures or both --mu and --nu")
-    mu = load_single_measure(mu_path)
-    nu = load_single_measure(nu_path)
-    C = load_cost(cost_path)
-    if C.shape != (mu.size, nu.size):
-        raise InputError(
-            f"{cost_path}: cost shape {C.shape} does not match measure sizes "
-            f"({mu.size}, {nu.size})"
-        )
-    return mu, nu, C
+    return _with_cost(
+        load_single_measure(mu_path),
+        load_single_measure(nu_path),
+        cost_path,
+        f"{mu_path} and {nu_path}",
+    )
 
 
 @click.group()
@@ -222,8 +218,7 @@ def solve_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol, out):
     click.echo(
         f"projected gradient {res.solver_report.projected_gradient_inf_norm:.17g}"
     )
-    row_violation = float(np.abs(res.row_marginal - mu.weights).sum())
-    col_violation = float(np.abs(res.col_marginal - nu.weights).sum())
+    row_violation, col_violation = marginal_violations(res, mu, nu)
     click.echo(f"row violation {row_violation:.17g}")
     click.echo(f"col violation {col_violation:.17g}")
     click.echo(f"wall time {res.wall_time:.17g}")

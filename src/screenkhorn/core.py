@@ -175,6 +175,18 @@ def gibbs_kernel(C: CostMatrix, eta: float) -> GibbsKernel:
         ) from None
 
 
+def _check_sizes(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, K: GibbsKernel
+) -> tuple[int, int]:
+    """The kernel shape (n, m), after checking that mu has n and nu has m points."""
+    n, m = K.shape
+    if mu.size != n or nu.size != m:
+        raise ShapeError(
+            f"measure sizes ({mu.size}, {nu.size}) do not match kernel ({n}, {m})"
+        )
+    return n, m
+
+
 def plan_from_potentials(pot: DualPotentials, K: GibbsKernel) -> TransportPlan:
     """P_ij = e^{u_i} K_ij e^{v_j}."""
     n, m = K.shape
@@ -244,11 +256,7 @@ def sinkhorn(
         raise ParameterError(f"stop_threshold must be positive, got {stop_threshold}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    n, m = K.shape
-    if mu.size != n or nu.size != m:
-        raise ShapeError(
-            f"measure sizes ({mu.size}, {nu.size}) do not match kernel ({n}, {m})"
-        )
+    _, m = _check_sizes(mu, nu, K)
 
     km = K.entries
     w_mu = mu.weights

@@ -41,17 +41,21 @@ def _require_converged(result: ScreenkhornResult, name: str) -> None:
         )
 
 
+def _l1_gap(marginal: np.ndarray, weights: np.ndarray) -> float:
+    return float(np.abs(marginal - weights).sum())
+
+
 def marginal_violations(
-    P: TransportPlan, mu: DiscreteMeasure, nu: DiscreteMeasure
+    P: TransportPlan | ScreenkhornResult, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> tuple[float, float]:
-    """l1 distances between the plan's marginals and the targets."""
-    if P.shape != (mu.size, nu.size):
+    """l1 distances between the marginals of a plan or a screened solve and
+    the targets."""
+    shape = (P.row_marginal.shape[0], P.col_marginal.shape[0])
+    if shape != (mu.size, nu.size):
         raise ShapeError(
-            f"plan shape {P.shape} does not match measures ({mu.size}, {nu.size})"
+            f"plan shape {shape} does not match measures ({mu.size}, {nu.size})"
         )
-    row = float(np.abs(P.row_marginal - mu.weights).sum())
-    col = float(np.abs(P.col_marginal - nu.weights).sum())
-    return row, col
+    return _l1_gap(P.row_marginal, mu.weights), _l1_gap(P.col_marginal, nu.weights)
 
 
 def _positive_vector(x, name: str) -> np.ndarray:
@@ -96,6 +100,27 @@ def _c(z: float) -> float:
     return float(z - np.log(z) - 1.0)
 
 
+def _violation_bound(
+    eps: float, k_min: float, n: int, m: int, n_b: int, m_b: int, kap: float,
+    own: np.ndarray, other: np.ndarray, other_active: np.ndarray,
+) -> float:
+    """Bound on the squared l1 row-marginal violation, where own = mu,
+    other = nu and other_active = nu_J; the column bound is this formula on
+    the transposed problem."""
+    own_max = float(own.max())
+    other_min_active = float(other_active.min())
+    log_arg = (
+        kap * (n - n_b + 1) * own_max / (m_b * k_min * other_min_active)
+        + n_b * kap**2 * own_max**2 / (m * m_b * eps**2 * k_min**2 * other_min_active)
+    )
+    return n_b * _c(kap) * own_max + 7.0 * (n - n_b) * (
+        m_b * float(other.max()) / (n * kap * k_min)
+        + (m - m_b) * eps**2
+        - float(own.min())
+        + own_max * np.log(log_arg)
+    )
+
+
 def violation_certificate_rows(
     result: ScreenkhornResult, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> Certificate:
@@ -116,25 +141,11 @@ def violation_certificate_rows(
     """
     _require_converged(result, "row violation certificate")
     p = result.problem
-    n, m = p.n, p.m
-    n_b, m_b = result.budget.n_b, result.budget.m_b
-    eps, kap, k_min = p.epsilon, p.kappa, p.k_min
-    mu_max = float(mu.weights.max())
-    mu_min = float(mu.weights.min())
-    nu_max = float(nu.weights.max())
-    nu_min_active = float(p.nu_active.min())
-
-    log_arg = (
-        kap * (n - n_b + 1) * mu_max / (m_b * k_min * nu_min_active)
-        + n_b * kap**2 * mu_max**2 / (m * m_b * eps**2 * k_min**2 * nu_min_active)
+    bound = _violation_bound(
+        p.epsilon, p.k_min, p.n, p.m, result.budget.n_b, result.budget.m_b,
+        p.kappa, mu.weights, nu.weights, p.nu_active,
     )
-    bound = n_b * _c(kap) * mu_max + 7.0 * (n - n_b) * (
-        m_b * nu_max / (n * kap * k_min)
-        + (m - m_b) * eps**2
-        - mu_min
-        + mu_max * np.log(log_arg)
-    )
-    empirical = float(np.abs(result.row_marginal - mu.weights).sum()) ** 2
+    empirical = _l1_gap(result.row_marginal, mu.weights) ** 2
     return _certify("row-violation-squared", empirical, bound)
 
 
@@ -144,25 +155,11 @@ def violation_certificate_cols(
     """Column analogue of violation_certificate_rows (swap sides, kappa -> 1/kappa)."""
     _require_converged(result, "column violation certificate")
     p = result.problem
-    n, m = p.n, p.m
-    n_b, m_b = result.budget.n_b, result.budget.m_b
-    eps, kap, k_min = p.epsilon, p.kappa, p.k_min
-    nu_max = float(nu.weights.max())
-    nu_min = float(nu.weights.min())
-    mu_max = float(mu.weights.max())
-    mu_min_active = float(p.mu_active.min())
-
-    log_arg = (
-        (m - m_b + 1) * nu_max / (n_b * kap * k_min * mu_min_active)
-        + m_b * nu_max**2 / (n * n_b * eps**2 * kap**2 * k_min**2 * mu_min_active)
+    bound = _violation_bound(
+        p.epsilon, p.k_min, p.m, p.n, result.budget.m_b, result.budget.n_b,
+        1.0 / p.kappa, nu.weights, mu.weights, p.mu_active,
     )
-    bound = m_b * _c(1.0 / kap) * nu_max + 7.0 * (m - m_b) * (
-        n_b * kap * mu_max / (m * k_min)
-        + (n - n_b) * eps**2
-        - nu_min
-        + nu_max * np.log(log_arg)
-    )
-    empirical = float(np.abs(result.col_marginal - nu.weights).sum()) ** 2
+    empirical = _l1_gap(result.col_marginal, nu.weights) ** 2
     return _certify("col-violation-squared", empirical, bound)
 
 
@@ -180,6 +177,17 @@ def omega_kappa(result: ScreenkhornResult) -> float:
     return a * row_mass + b * col_mass + a + b
 
 
+def _mass_bound(
+    eps: float, k_min: float, n: int, m: int, n_b: int, m_b: int, kap: float,
+    own_active: np.ndarray, other_active: np.ndarray,
+) -> float:
+    """Bound on ||mu_sc||_1, where own_active = mu_I and other_active = nu_J;
+    the column bound is this formula on the transposed problem."""
+    return kap * float(own_active.sum()) + (n - n_b) * (
+        m_b * float(other_active.max()) / (n * kap * k_min) + (m - m_b) * eps**2
+    )
+
+
 def marginal_norm_certificates(
     result: ScreenkhornResult, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> tuple[Certificate, Certificate]:
@@ -188,23 +196,16 @@ def marginal_norm_certificates(
     Rows:    ||mu_sc||_1  <= kappa ||mu_I||_1
                              + (n - n_b) [ m_b max_J nu / (n kappa K_min)
                                            + (m - m_b) eps^2 ]
-    Columns: ||nu_sc||_1  <= (1/kappa) ||nu_J||_1
-                             + (m - m_b) [ n_b kappa max_I mu / (m K_min)
-                                           + (n - n_b) eps^2 ]
+    Columns: the same with the sides swapped and kappa -> 1/kappa.
     """
     _require_converged(result, "marginal norm certificate")
     p = result.problem
-    n, m = p.n, p.m
     n_b, m_b = result.budget.n_b, result.budget.m_b
-    eps, kap, k_min = p.epsilon, p.kappa, p.k_min
-    nu_max_active = float(p.nu_active.max())
-    mu_max_active = float(p.mu_active.max())
-
-    row_bound = kap * float(p.mu_active.sum()) + (n - n_b) * (
-        m_b * nu_max_active / (n * kap * k_min) + (m - m_b) * eps**2
+    row_bound = _mass_bound(
+        p.epsilon, p.k_min, p.n, p.m, n_b, m_b, p.kappa, p.mu_active, p.nu_active
     )
-    col_bound = float(p.nu_active.sum()) / kap + (m - m_b) * (
-        n_b * kap * mu_max_active / (m * k_min) + (n - n_b) * eps**2
+    col_bound = _mass_bound(
+        p.epsilon, p.k_min, p.m, p.n, m_b, n_b, 1.0 / p.kappa, p.nu_active, p.mu_active
     )
     row_emp = float(np.abs(result.row_marginal).sum())
     col_emp = float(np.abs(result.col_marginal).sum())
@@ -232,6 +233,5 @@ def gap_diagnostic(
     c_mass = min(float(p.mu_active.min()), float(p.nu_active.min()))
     big = max(p.n, p.m)
     scale = C.max_norm / eta + np.log(big**2 / (p.n * p.m * c_mass**3.5))
-    row = float(np.abs(result.row_marginal - mu.weights).sum())
-    col = float(np.abs(result.col_marginal - nu.weights).sum())
+    row, col = marginal_violations(result, mu, nu)
     return float(scale * (row + col + omega_kappa(result)))

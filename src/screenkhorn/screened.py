@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, GibbsKernel
+from .core import DiscreteMeasure, GibbsKernel, _check_sizes
 from .errors import (
     DegenerateScreeningError,
     InfeasibleBoundsError,
@@ -82,20 +82,11 @@ def build_problem(
     sr: ScreeningResult,
 ) -> ScreenedDualProblem:
     """Restrict the kernel to the active sets and fold the rest into constants."""
-    n, m = K.shape
-    if mu.size != n or nu.size != m:
-        raise ShapeError(
-            f"measure sizes ({mu.size}, {nu.size}) do not match kernel ({n}, {m})"
-        )
+    n, m = _check_sizes(mu, nu, K)
     rows = sr.active_rows
     cols = sr.active_cols
     if rows.size == 0 or cols.size == 0:
         raise DegenerateScreeningError("active sets must be nonempty")
-
-    row_active = np.zeros(n, dtype=bool)
-    row_active[rows] = True
-    col_active = np.zeros(m, dtype=bool)
-    col_active[cols] = True
 
     km = K.entries
     block = km[np.ix_(rows, cols)]
@@ -125,10 +116,8 @@ def build_problem(
 
     eps = sr.epsilon
     kap = sr.kappa
-    comp_rows = np.flatnonzero(~row_active)
-    comp_cols = np.flatnonzero(~col_active)
-    mu_comp_mass = float(mu.weights[comp_rows].sum()) if comp_rows.size else 0.0
-    nu_comp_mass = float(nu.weights[comp_cols].sum()) if comp_cols.size else 0.0
+    mu_comp_mass = float(np.delete(mu.weights, rows).sum())
+    nu_comp_mass = float(np.delete(nu.weights, cols).sum())
     xi_const = (
         eps * eps * corner
         - kap * np.log(eps / kap) * mu_comp_mass
@@ -196,34 +185,31 @@ def gradient(
     return grad_u, grad_v
 
 
+def _box_side(
+    eps: float, k_min: float, n: int, m: int, n_b: int, m_b: int, kap: float,
+    own: np.ndarray, other: np.ndarray,
+) -> tuple[float, float]:
+    """(lower, upper) log bounds of the u side, where own = mu_I and
+    other = nu_J; the v side is this formula on the transposed problem."""
+    inner = max(eps, float(other.max()) / (n * eps * kap * k_min))
+    lower = max(eps / kap, float(own.min()) / (eps * (m - m_b) + inner * m_b))
+    upper = float(own.max()) / (m * eps * k_min)
+    return float(np.log(lower)), float(np.log(upper))
+
+
 def box_bounds(p: ScreenedDualProblem, budget: Budget) -> BoxBounds:
     """Log-domain box containing the optimum of the screened problem.
 
     The inner denominator terms are guarded with a max against epsilon,
-    which only loosens the lower bounds.
+    which only loosens the lower bounds. The v box is the u box of the
+    transposed problem (sides swapped, kappa -> 1/kappa).
     """
-    eps = p.epsilon
-    kap = p.kappa
-    k_min = p.k_min
-    n, m = p.n, p.m
-    n_b = budget.n_b
-    m_b = budget.m_b
-    mu_lo = float(p.mu_active.min())
-    mu_hi = float(p.mu_active.max())
-    nu_lo = float(p.nu_active.min())
-    nu_hi = float(p.nu_active.max())
-
-    u_inner = max(eps, nu_hi / (n * eps * kap * k_min))
-    v_inner = max(eps, kap * mu_hi / (m * eps * k_min))
-
-    u_lower_arg = max(eps / kap, mu_lo / (eps * (m - m_b) + u_inner * m_b))
-    v_lower_arg = max(eps * kap, nu_lo / (eps * (n - n_b) + v_inner * n_b))
-    u_upper_arg = mu_hi / (m * eps * k_min)
-    v_upper_arg = nu_hi / (n * eps * k_min)
-
-    return BoxBounds(
-        u_lower=float(np.log(u_lower_arg)),
-        u_upper=float(np.log(u_upper_arg)),
-        v_lower=float(np.log(v_lower_arg)),
-        v_upper=float(np.log(v_upper_arg)),
+    eps, kap, k_min = p.epsilon, p.kappa, p.k_min
+    n_b, m_b = budget.n_b, budget.m_b
+    u_lower, u_upper = _box_side(
+        eps, k_min, p.n, p.m, n_b, m_b, kap, p.mu_active, p.nu_active
     )
+    v_lower, v_upper = _box_side(
+        eps, k_min, p.m, p.n, m_b, n_b, 1.0 / kap, p.nu_active, p.mu_active
+    )
+    return BoxBounds(u_lower, u_upper, v_lower, v_upper)

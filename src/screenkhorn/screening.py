@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, GibbsKernel
-from .errors import DegenerateScreeningError, ParameterError, ShapeError
+from .core import DiscreteMeasure, GibbsKernel, _check_sizes
+from .errors import DegenerateScreeningError, ParameterError
 
 # Relative slack for threshold comparisons. epsilon**2/kappa reconstructs
 # xi[n_b-1] only up to a few ulps, and an exact >= would sometimes drop the
@@ -58,11 +58,7 @@ def ratio_vectors(
     mu: DiscreteMeasure, nu: DiscreteMeasure, K: GibbsKernel
 ) -> tuple[np.ndarray, np.ndarray]:
     """mu/r(K) and nu/c(K), each sorted descending (stable in original index)."""
-    n, m = K.shape
-    if mu.size != n or nu.size != m:
-        raise ShapeError(
-            f"measure sizes ({mu.size}, {nu.size}) do not match kernel ({n}, {m})"
-        )
+    _check_sizes(mu, nu, K)
     row_ratio = mu.weights / K.row_sums
     col_ratio = nu.weights / K.col_sums
     xi = row_ratio[np.argsort(-row_ratio, kind="stable")]
@@ -95,6 +91,11 @@ def epsilon_kappa(
     return float((x * z) ** 0.25), float(np.sqrt(z / x))
 
 
+def _passing(weights: np.ndarray, sums: np.ndarray, scale: float) -> np.ndarray:
+    """Indices whose weight passes the screening test against scale * sums."""
+    return np.flatnonzero(weights >= scale * sums * (1.0 - _THRESHOLD_SLACK))
+
+
 def active_sets(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -107,19 +108,11 @@ def active_sets(
         raise ParameterError(
             f"epsilon and kappa must be positive, got ({epsilon}, {kappa})"
         )
-    n, m = K.shape
-    if mu.size != n or nu.size != m:
-        raise ShapeError(
-            f"measure sizes ({mu.size}, {nu.size}) do not match kernel ({n}, {m})"
-        )
-    row_threshold = (epsilon * epsilon / kappa) * K.row_sums
-    col_threshold = (epsilon * epsilon * kappa) * K.col_sums
-    active_rows = np.flatnonzero(
-        mu.weights >= row_threshold * (1.0 - _THRESHOLD_SLACK)
-    )
-    active_cols = np.flatnonzero(
-        nu.weights >= col_threshold * (1.0 - _THRESHOLD_SLACK)
-    )
+    _check_sizes(mu, nu, K)
+    # the column scale is eps^2 * kappa, not the transposed row form
+    # eps^2 / (1/kappa), which rounds twice
+    active_rows = _passing(mu.weights, K.row_sums, epsilon * epsilon / kappa)
+    active_cols = _passing(nu.weights, K.col_sums, epsilon * epsilon * kappa)
     if active_rows.size == 0 or active_cols.size == 0:
         raise DegenerateScreeningError(
             f"screening left no free variables (|I| = {active_rows.size}, "

@@ -11,12 +11,16 @@ from screenkhorn import (
     InfeasibleBoundsError,
     NumericRangeError,
     ParameterError,
+    ScreenkhornError,
     SolverConfig,
     decimation_to_budget,
+    marginal_norm_certificates,
     marginal_violations,
     plan_from_potentials,
     screenkhorn,
     sinkhorn,
+    violation_certificate_cols,
+    violation_certificate_rows,
 )
 from conftest import random_instance, ring_instance, symmetric_instance
 
@@ -232,3 +236,50 @@ class TestRobustness:
         assert np.all(res.plan.entries >= 0.0)
         assert sr.active_rows.size == res.problem.n_active
         assert sr.active_cols.size == res.problem.m_active
+
+
+class TestTransposition:
+    """The screened dual is symmetric under swapping its sides: solving
+    (nu, mu, C^T) with budget (m_b, n_b) keeps epsilon, inverts kappa and
+    swaps every row quantity with its column twin."""
+
+    @pytest.mark.parametrize("n_b, m_b", [(1, 1), (3, 5), (6, 4), (9, 7)])
+    def test_transposed_problem_swaps_sides(self, n_b, m_b):
+        cfg = SolverConfig(pg_tolerance=1e-8)
+        close = dict(rel=1e-12, abs=1e-13)
+        compared = 0
+        for seed in range(40):
+            mu, nu, C, _ = random_instance(seed, 9, 7)
+            C_t = CostMatrix(C.entries.T)
+            try:
+                res = screenkhorn(C, 1.0, mu, nu, n_b, m_b, solver_config=cfg)
+            except ScreenkhornError as exc:
+                # an instance the solve rejects must be rejected transposed too
+                with pytest.raises(type(exc)):
+                    screenkhorn(C_t, 1.0, nu, mu, m_b, n_b, solver_config=cfg)
+                continue
+            res_t = screenkhorn(C_t, 1.0, nu, mu, m_b, n_b, solver_config=cfg)
+            sr, sr_t = res.screening, res_t.screening
+            assert sr_t.epsilon == pytest.approx(sr.epsilon, **close)
+            assert sr_t.kappa == pytest.approx(1.0 / sr.kappa, **close)
+            np.testing.assert_array_equal(sr_t.active_rows, sr.active_cols)
+            np.testing.assert_array_equal(sr_t.active_cols, sr.active_rows)
+            b, b_t = res.bounds, res_t.bounds
+            assert (b_t.u_lower, b_t.u_upper, b_t.v_lower, b_t.v_upper) == pytest.approx(
+                (b.v_lower, b.v_upper, b.u_lower, b.u_upper), **close
+            )
+            if not (res.solver_report.converged and res_t.solver_report.converged):
+                continue
+            compared += 1
+            pairs = [
+                (violation_certificate_rows(res, mu, nu),
+                 violation_certificate_cols(res_t, nu, mu)),
+                (violation_certificate_cols(res, mu, nu),
+                 violation_certificate_rows(res_t, nu, mu)),
+            ]
+            mass_rows, mass_cols = marginal_norm_certificates(res, mu, nu)
+            mass_rows_t, mass_cols_t = marginal_norm_certificates(res_t, nu, mu)
+            pairs += [(mass_rows, mass_cols_t), (mass_cols, mass_rows_t)]
+            for cert, twin in pairs:
+                assert twin.bound_value == pytest.approx(cert.bound_value, **close)
+        assert compared >= 20
