@@ -21,6 +21,7 @@ from .core import (
     DiscreteMeasure,
     DualPotentials,
     TransportPlan,
+    _marginals,
     gibbs_kernel,
     plan_from_potentials,
 )
@@ -140,10 +141,7 @@ def screenkhorn(
         u_full[sr.active_rows] = report.solution[:k]
         v_full[sr.active_cols] = report.solution[k:]
         potentials = DualPotentials(u_full, v_full)
-        scale_u = np.exp(u_full)
-        scale_v = np.exp(v_full)
-        row_marginal = scale_u * (K.entries @ scale_v)
-        col_marginal = scale_v * (K.entries.T @ scale_u)
+        row_marginal, col_marginal = _marginals(K, np.exp(u_full), np.exp(v_full))
         plan = plan_from_potentials(potentials, K) if materialize_plan else None
 
     return ScreenkhornResult(

@@ -24,6 +24,7 @@ from .core import (
     CostMatrix,
     DiscreteMeasure,
     DualSolution,
+    _row_chunks,
     gibbs_kernel,
     sinkhorn,
 )
@@ -127,15 +128,18 @@ def pairwise_euclidean(x: np.ndarray, y: np.ndarray, normalize: bool) -> CostMat
         raise ShapeError(
             f"expected 2-column point arrays, got shapes {x.shape} and {y.shape}"
         )
-    diff = x[:, None, :] - y[None, :, :]
-    c = np.sqrt((diff * diff).sum(axis=2))
+    c = np.empty((x.shape[0], y.shape[0]))
+    # by row chunks, so the chunk x m x 2 difference stays small
+    for rows in _row_chunks(*c.shape):
+        diff = x[rows, None, :] - y[None, :, :]
+        np.sqrt((diff * diff).sum(axis=2), out=c[rows])
     if normalize:
         top = c.max()
         if top <= 0.0:
             raise DegenerateCostError(
                 "cannot normalize: every pairwise distance is zero"
             )
-        c = c / top
+        c /= top
     return CostMatrix(c)
 
 

@@ -16,6 +16,19 @@ import numpy as np
 from .errors import InputError, NumericRangeError, ParameterError, ShapeError
 
 
+# entries per chunk of an n x m pass: 2**16 float64 entries (512 KB) stay in
+# L2 while every reduction over the chunk runs
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _row_chunks(n: int, m: int):
+    """Slices of consecutive rows that cover range(n), with about
+    _CHUNK_ENTRIES entries each and never less than one row."""
+    step = max(1, _CHUNK_ENTRIES // max(m, 1))
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
+
+
 def _as_array(x, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != ndim:
@@ -87,17 +100,27 @@ class GibbsKernel:
         eta = float(self.eta)
         if not np.isfinite(eta) or eta <= 0.0:
             raise ParameterError(f"eta must be positive and finite, got {eta}")
-        kmin = float(k.min())
-        kmax = float(k.max())
-        # the fused range test also rejects nan, which fails both comparisons
-        if not (kmin > 0.0 and kmax <= 1.0):
-            bad = ~((k > 0.0) & (k <= 1.0))
-            i, j = map(int, np.argwhere(bad)[0])
-            raise InputError(f"kernel entry ({i}, {j}) = {k[i, j]} is outside (0, 1]")
+        n, m = k.shape
+        row_sums = np.empty(n)
+        col_sums = np.zeros(m)
+        # one sweep: each chunk is range checked and summed while it sits in
+        # cache, so K is read from memory once
+        for rows in _row_chunks(n, m):
+            chunk = k[rows]
+            # the fused range test also rejects nan, which fails both comparisons
+            if not (chunk.min() > 0.0 and chunk.max() <= 1.0):
+                bad = ~((chunk > 0.0) & (chunk <= 1.0))
+                i, j = map(int, np.argwhere(bad)[0])
+                i += rows.start
+                raise InputError(
+                    f"kernel entry ({i}, {j}) = {k[i, j]} is outside (0, 1]"
+                )
+            chunk.sum(axis=1, out=row_sums[rows])
+            col_sums += chunk.sum(axis=0)
         object.__setattr__(self, "entries", k)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "row_sums", k.sum(axis=1))
-        object.__setattr__(self, "col_sums", k.sum(axis=0))
+        object.__setattr__(self, "row_sums", row_sums)
+        object.__setattr__(self, "col_sums", col_sums)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -162,7 +185,13 @@ def gibbs_kernel(C: CostMatrix, eta: float) -> GibbsKernel:
     eta = float(eta)
     if not np.isfinite(eta) or eta <= 0.0:
         raise ParameterError(f"eta must be positive and finite, got {eta}")
-    k = np.exp(-C.entries / eta)
+    c = C.entries
+    k = np.empty(c.shape)
+    # c / -eta is -c / eta bit for bit, and writing each chunk in place
+    # leaves no n x m temporary behind
+    for rows in _row_chunks(*k.shape):
+        np.divide(c[rows], -eta, out=k[rows])
+        np.exp(k[rows], out=k[rows])
     # exp of a finite nonpositive number lies in [0, 1], so the kernel's own
     # range check can only reject an entry that underflowed to zero
     try:
@@ -185,6 +214,22 @@ def _check_sizes(
             f"measure sizes ({mu.size}, {nu.size}) do not match kernel ({n}, {m})"
         )
     return n, m
+
+
+def _marginals(
+    K: GibbsKernel, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of diag(a) K diag(b), that is a * (K b) and
+    b * (K^T a), from one pass over K."""
+    km = K.entries
+    n, m = km.shape
+    kb = np.empty(n)
+    kta = np.zeros(m)
+    for rows in _row_chunks(n, m):
+        chunk = km[rows]
+        kb[rows] = chunk @ b
+        kta += a[rows] @ chunk
+    return a * kb, b * kta
 
 
 def plan_from_potentials(pot: DualPotentials, K: GibbsKernel) -> TransportPlan:

@@ -1,10 +1,13 @@
 """Bound-constrained minimization for the reduced dual, plus the restricted
 scaling warm start.
 
-minimize() delegates the quasi-Newton work to SciPy's L-BFGS-B and then
-re-verifies the result itself: the returned point is clipped into the box,
-objective and gradient are re-evaluated there, and convergence is decided
-from our own projected-gradient norm rather than the library's status flag.
+minimize() evaluates the clipped start first and returns there when its
+projected gradient already meets the tolerance. Otherwise it delegates the
+quasi-Newton work to SciPy's L-BFGS-B, handing over that first evaluation,
+and then re-verifies the result itself: the returned point is clipped into
+the box, objective and gradient are re-evaluated there, and convergence is
+decided from our own projected-gradient norm rather than the library's
+status flag.
 The f-decrease stopping test is disabled (factr=0) so the only live stopping
 criteria are the projected-gradient tolerance and the two caps.
 """
@@ -123,8 +126,26 @@ def minimize(
         raise InputError(f"lower[{bad}] = {lower[bad]} exceeds upper[{bad}] = {upper[bad]}")
 
     x0 = np.clip(start, lower, upper)
+    f0 = objective(x0)
+    g0 = np.asarray(gradient(x0), dtype=np.float64)
+    pg0 = float(np.abs(projected_gradient(x0, g0, lower, upper)).max())
+    if pg0 <= config.pg_tolerance:
+        # SciPy's projected gradient is never larger than this one, so it
+        # would stop at x0 after this same evaluation
+        return SolverReport(
+            solution=x0,
+            objective_value=float(f0),
+            projected_gradient_inf_norm=pg0,
+            iterations=0,
+            evaluations=1,
+            converged=True,
+        )
+    start_value = [(f0, g0)]
 
     def fused(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # SciPy asks for the start point first; it was evaluated above
+        if start_value and np.array_equal(x, x0):
+            return start_value.pop()
         return objective(x), np.asarray(gradient(x), dtype=np.float64)
 
     x, _, info = fmin_l_bfgs_b(

@@ -145,6 +145,16 @@ class TestPairwiseEuclidean:
         raw = pairwise_euclidean(x, y, False)
         np.testing.assert_allclose(C.entries, raw.entries / raw.entries.max(), rtol=1e-15)
 
+    def test_matches_broadcast_formula_bitwise(self):
+        # 150 rows of 1000 targets end partway through the third row chunk
+        x, y = generate_gaussian_pair(150, 1000, 7)
+        diff = x[:, None, :] - y[None, :, :]
+        want = np.sqrt((diff * diff).sum(axis=2))
+        np.testing.assert_array_equal(pairwise_euclidean(x, y, False).entries, want)
+        np.testing.assert_array_equal(
+            pairwise_euclidean(x, y, True).entries, want / want.max()
+        )
+
     def test_all_zero_distances_cannot_normalize(self):
         pt = np.array([[1.0, 1.0]])
         with pytest.raises(DegenerateCostError):

@@ -19,7 +19,12 @@ from screenkhorn import (
     plan_from_potentials,
     sinkhorn,
 )
+from screenkhorn.core import _CHUNK_ENTRIES
 from conftest import dense_plan, random_instance
+
+# rows of 1000 put 65 rows in a chunk, so 137 rows end partway through the
+# third chunk; a row wider than a chunk makes every chunk a single row
+CHUNK_SHAPES = [(2 * (_CHUNK_ENTRIES // 1000) + 7, 1000), (3, _CHUNK_ENTRIES + 3)]
 
 
 class TestDiscreteMeasure:
@@ -98,6 +103,25 @@ class TestGibbsKernel:
             GibbsKernel(np.array([[0.5, 0.0]]), 1.0)
         with pytest.raises(InputError):
             GibbsKernel(np.array([[0.5, np.nan]]), 1.0)
+
+    @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
+    def test_chunked_sweep_matches_whole_array(self, n, m):
+        c = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, m))
+        K = gibbs_kernel(CostMatrix(c), 0.7)
+        want = np.exp(-c / 0.7)
+        np.testing.assert_array_equal(K.entries, want)
+        np.testing.assert_array_equal(K.row_sums, want.sum(axis=1))
+        # the column sums add the chunks' partial sums, another summation order
+        np.testing.assert_allclose(K.col_sums, want.sum(axis=0), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
+    @pytest.mark.parametrize("value", [1.5, 0.0, np.nan])
+    def test_bad_entry_in_later_chunk_names_global_index(self, n, m, value):
+        k = np.full((n, m), 0.5)
+        i, j = n - 1, m - 2
+        k[i, j] = value
+        with pytest.raises(InputError, match=rf"kernel entry \({i}, {j}\) = {value} "):
+            GibbsKernel(k, 1.0)
 
     @given(seed=st.integers(min_value=0, max_value=2**32))
     def test_entries_bounded_by_cost_extremes(self, seed):

@@ -237,6 +237,19 @@ class TestRobustness:
         assert sr.active_rows.size == res.problem.n_active
         assert sr.active_cols.size == res.problem.m_active
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InfeasibleBoundsError,
+        reason="the v upper bound divides by n * k_min with k_min taken over the "
+        "active block, and here n * k_min exceeds the column sums c_J",
+    )
+    def test_empty_box_drawn_by_round_trip(self):
+        # the example test_random_budgets_round_trip once drew: the v box is
+        # [log(eps*kappa), log(max nu_J / (n eps k_min))] = [-1.4716, -1.4820]
+        res = solve_random(26576357, 6, 6, 2, 2)
+        assert np.isfinite(res.potentials.u).all()
+        assert np.isfinite(res.potentials.v).all()
+
 
 class TestTransposition:
     """The screened dual is symmetric under swapping its sides: solving

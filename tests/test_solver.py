@@ -18,7 +18,9 @@ from screenkhorn import (
     ratio_vectors,
     restricted_sinkhorn,
 )
-from screenkhorn.solver import projected_gradient
+from scipy.optimize import fmin_l_bfgs_b
+
+from screenkhorn.solver import _HISTORY_SIZE, _MAX_EVALUATIONS, projected_gradient
 from screenkhorn.screened import gradient, objective
 from conftest import random_instance
 from oracle import oracle_solve
@@ -255,6 +257,59 @@ class TestMinimizeContracts:
         np.testing.assert_array_equal(report.solution, point)
         assert report.converged
         assert report.projected_gradient_inf_norm == 0.0
+
+
+class TestMinimizeStart:
+    @staticmethod
+    def counted_quadratic(a, c):
+        """0.5 (x - c)^T A (x - c) and its gradient, recording each objective call."""
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            d = x - c
+            return float(0.5 * d @ (a @ d))
+
+        return f, lambda x: a @ (x - c), calls
+
+    def test_optimal_start_returns_without_iterating(self):
+        c = np.array([0.3, -0.2, 0.1])
+        f, g, calls = self.counted_quadratic(np.diag([1.0, 2.0, 3.0]), c)
+        report = minimize(f, g, np.full(3, -1.0), np.full(3, 1.0), c)
+        assert report.iterations == 0
+        assert report.evaluations == 1
+        assert len(calls) == 1
+        assert report.converged
+        assert report.projected_gradient_inf_norm == 0.0
+        np.testing.assert_array_equal(report.solution, c)
+
+    def test_iterating_solve_keeps_scipy_trajectory(self):
+        rng = np.random.default_rng(3)
+        q = rng.normal(size=(6, 6))
+        a = q @ q.T + 0.5 * np.eye(6)
+        c = rng.normal(scale=0.5, size=6)
+        lower, upper = np.full(6, -1.0), np.full(6, 1.0)
+        start = np.zeros(6)
+        tol = 1e-10
+        f, g, calls = self.counted_quadratic(a, c)
+        report = minimize(f, g, lower, upper, start, SolverConfig(pg_tolerance=tol))
+        x, _, info = fmin_l_bfgs_b(
+            lambda x: (f(x), g(x)),
+            start,
+            bounds=list(zip(lower, upper)),
+            m=_HISTORY_SIZE,
+            factr=0.0,
+            pgtol=tol,
+            maxiter=SolverConfig().max_iterations,
+            maxfun=_MAX_EVALUATIONS,
+        )
+        assert info["nit"] > 1
+        assert report.iterations == info["nit"]
+        # SciPy's own count includes the start, which minimize evaluated and
+        # handed over; the final recheck adds one
+        assert report.evaluations == info["funcalls"] + 1
+        assert len(calls) - info["funcalls"] == report.evaluations
+        np.testing.assert_array_equal(report.solution, np.clip(x, lower, upper))
 
 
 class TestRestrictedSinkhorn:
