@@ -2,14 +2,23 @@
 scaling warm start.
 
 minimize() evaluates the clipped start first and returns there when its
-projected gradient already meets the tolerance. Otherwise it delegates the
-quasi-Newton work to SciPy's L-BFGS-B, handing over that first evaluation,
-and then re-verifies the result itself: the returned point is clipped into
+projected gradient already meets the tolerance. Otherwise it runs SciPy's
+L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu 1995), `setulb`, by reverse
+communication: the routine asks for the objective and gradient at a point,
+or reports a new iterate, until it stops. The loop answers the first request
+with the start's evaluation, and caps and counts iterations and evaluations
+the way SciPy's public L-BFGS-B wrapper does, so the iterates are that
+wrapper's, without its per-coordinate bound conversion and function
+wrappers. Then
+minimize() re-verifies the result itself: the returned point is clipped into
 the box, objective and gradient are re-evaluated there, and convergence is
-decided from our own projected-gradient norm rather than the library's
-status flag.
+decided from our own projected-gradient norm rather than the routine's
+status.
 The f-decrease stopping test is disabled (factr=0) so the only live stopping
 criteria are the projected-gradient tolerance and the two caps.
+
+setulb is a private SciPy entry point; its argument list is pinned by a test
+(tests/test_solver.py) against the SciPy versions pyproject.toml admits.
 """
 
 from __future__ import annotations
@@ -18,15 +27,35 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import fmin_l_bfgs_b
+from scipy.optimize._lbfgsb import setulb
 
 from .errors import InputError, ParameterError, ShapeError
 from .screened import ScreenedDualProblem
 
 
-# L-BFGS-B memory (correction pairs kept) and its cap on objective evaluations
+# L-BFGS-B memory (correction pairs kept), its cap on objective evaluations,
+# and its cap on evaluations per line search
 _HISTORY_SIZE = 10
 _MAX_EVALUATIONS = 100_000
+_MAX_LINE_SEARCH = 20
+
+# setulb's task[0] codes: evaluate f and g at x, or a new iterate is in x;
+# any other code ends the run, and task[1] then says why
+_TASK_FG = 3
+_TASK_NEW_X = 1
+_TASK_CONVERGENCE = 4
+_TASK_STOP = 5
+_PG_TOLERANCE_MET = 401
+_ITERATION_LIMIT = 504
+_EVALUATION_LIMIT = 502
+_STOP_REASONS = {
+    (_TASK_CONVERGENCE, _PG_TOLERANCE_MET): "pg_tolerance",
+    (_TASK_STOP, _ITERATION_LIMIT): "max_iterations",
+    (_TASK_STOP, _EVALUATION_LIMIT): "max_evaluations",
+}
+
+# setulb's bound code, indexed by (has lower bound, has upper bound)
+_BOUND_CODES = np.array([[0, 3], [1, 2]], dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -51,6 +80,11 @@ class SolverReport:
     iterations: int
     evaluations: int
     converged: bool
+    # why the iteration ended: "start" (the clipped start met pg_tolerance),
+    # "pg_tolerance", "max_iterations", "max_evaluations", or "abnormal" (a
+    # failed line search or another stop of the routine); `converged` comes
+    # from the recheck either way
+    stop_reason: str
 
 
 def projected_gradient(
@@ -125,52 +159,72 @@ def minimize(
         bad = int(np.flatnonzero(lower > upper)[0])
         raise InputError(f"lower[{bad}] = {lower[bad]} exceeds upper[{bad}] = {upper[bad]}")
 
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        return float(objective(x)), np.asarray(gradient(x), dtype=np.float64)
+
     x0 = np.clip(start, lower, upper)
-    f0 = objective(x0)
-    g0 = np.asarray(gradient(x0), dtype=np.float64)
+    f0, g0 = evaluate(x0)
     pg0 = float(np.abs(projected_gradient(x0, g0, lower, upper)).max())
     if pg0 <= config.pg_tolerance:
-        # SciPy's projected gradient is never larger than this one, so it
+        # L-BFGS-B's projected gradient is never larger than this one, so it
         # would stop at x0 after this same evaluation
         return SolverReport(
             solution=x0,
-            objective_value=float(f0),
+            objective_value=f0,
             projected_gradient_inf_norm=pg0,
             iterations=0,
             evaluations=1,
             converged=True,
+            stop_reason="start",
         )
-    start_value = [(f0, g0)]
 
-    def fused(x: np.ndarray) -> tuple[float, np.ndarray]:
-        # SciPy asks for the start point first; it was evaluated above
-        if start_value and np.array_equal(x, x0):
-            return start_value.pop()
-        return objective(x), np.asarray(gradient(x), dtype=np.float64)
+    n, m = x0.size, _HISTORY_SIZE
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    nbd = _BOUND_CODES[has_lower.astype(np.intp), has_upper.astype(np.intp)]
+    low = np.where(has_lower, lower, 0.0)
+    high = np.where(has_upper, upper, 0.0)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
 
-    x, _, info = fmin_l_bfgs_b(
-        fused,
-        x0,
-        # SciPy reads an infinite entry as "unbounded on that side"
-        bounds=list(zip(lower.tolist(), upper.tolist())),
-        m=_HISTORY_SIZE,
-        factr=0.0,
-        pgtol=config.pg_tolerance,
-        maxiter=config.max_iterations,
-        maxfun=_MAX_EVALUATIONS,
-    )
+    # setulb overwrites x in place; (f, g) always belong to the point `at`
+    x = x0.copy()
+    at, f, g = x0, f0, g0
+    iterations, evaluations = 0, 1
+    while True:
+        setulb(m, x, low, high, nbd, f, g, 0.0, config.pg_tolerance, wa, iwa,
+               task, lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
+        if task[0] == _TASK_FG:
+            # a request at the point last evaluated (the start, first of all)
+            # is answered from it, as SciPy's wrapper does
+            if not np.array_equal(x, at):
+                at = x.copy()
+                f, g = evaluate(at)
+                evaluations += 1
+        elif task[0] == _TASK_NEW_X:
+            iterations += 1
+            if iterations >= config.max_iterations:
+                task[:] = _TASK_STOP, _ITERATION_LIMIT
+            elif evaluations > _MAX_EVALUATIONS:
+                task[:] = _TASK_STOP, _EVALUATION_LIMIT
+        else:
+            break
 
     # recheck at the (defensively clipped) returned point; this evaluation is
     # counted and is what the report is based on
     x = np.clip(x, lower, upper)
-    f_final = objective(x)
-    g_final = np.asarray(gradient(x), dtype=np.float64)
+    f_final, g_final = evaluate(x)
     pg_norm = float(np.abs(projected_gradient(x, g_final, lower, upper)).max())
     return SolverReport(
         solution=x,
-        objective_value=float(f_final),
+        objective_value=f_final,
         projected_gradient_inf_norm=pg_norm,
-        iterations=int(info["nit"]),
-        evaluations=int(info["funcalls"]) + 1,
+        iterations=iterations,
+        evaluations=evaluations + 1,
         converged=bool(pg_norm <= config.pg_tolerance),
+        stop_reason=_STOP_REASONS.get((int(task[0]), int(task[1])), "abnormal"),
     )

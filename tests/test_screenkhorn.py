@@ -197,6 +197,14 @@ class TestRobustness:
         assert limited.plan is not None
         assert np.isfinite(limited.plan.entries).all()
 
+    def test_capped_run_says_why_it_stopped(self):
+        cheap = SolverConfig(pg_tolerance=1e-14, max_iterations=1)
+        mu, nu, C, _ = random_instance(21, 7, 7)
+        report = screenkhorn(C, 1.0, mu, nu, 4, 4, solver_config=cheap).solver_report
+        assert report.stop_reason == "max_iterations"
+        assert report.iterations == 1
+        assert not report.converged
+
     def test_infeasible_bounds_named_step(self):
         mu, nu, C, _ = random_instance(1, 6, 5)
         with pytest.raises(InfeasibleBoundsError, match="bounds:"):

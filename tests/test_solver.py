@@ -19,7 +19,12 @@ from screenkhorn import (
     restricted_sinkhorn,
 )
 from scipy.optimize import fmin_l_bfgs_b
+from scipy.optimize._lbfgsb import setulb
 
+import screenkhorn.solver
+from screenkhorn import DiscreteMeasure, decimation_to_budget
+from screenkhorn.bench import generate_gaussian_pair, pairwise_euclidean
+from screenkhorn.core import gibbs_kernel
 from screenkhorn.solver import _HISTORY_SIZE, _MAX_EVALUATIONS, projected_gradient
 from screenkhorn.screened import gradient, objective
 from conftest import random_instance
@@ -310,6 +315,168 @@ class TestMinimizeStart:
         assert report.evaluations == info["funcalls"] + 1
         assert len(calls) - info["funcalls"] == report.evaluations
         np.testing.assert_array_equal(report.solution, np.clip(x, lower, upper))
+
+
+def scipy_report(f, g, lower, upper, start, config, max_evaluations=_MAX_EVALUATIONS):
+    """The report fields minimize should give when SciPy's wrapper runs the
+    iteration (its x clipped and rechecked, its counts plus the recheck),
+    and the wrapper's warnflag."""
+    x, _, info = fmin_l_bfgs_b(
+        lambda x: (f(x), g(x)),
+        np.clip(start, lower, upper),
+        bounds=list(zip(lower, upper)),
+        m=_HISTORY_SIZE,
+        factr=0.0,
+        pgtol=config.pg_tolerance,
+        maxiter=config.max_iterations,
+        maxfun=max_evaluations,
+    )
+    x = np.clip(x, lower, upper)
+    pg = projected_gradient(x, np.asarray(g(x), dtype=np.float64), lower, upper)
+    fields = {
+        "solution": x,
+        "objective_value": float(f(x)),
+        "projected_gradient_inf_norm": float(np.abs(pg).max()),
+        "iterations": info["nit"],
+        "evaluations": info["funcalls"] + 1,
+    }
+    return fields, info["warnflag"]
+
+
+def assert_matches_scipy(report, expected):
+    np.testing.assert_array_equal(report.solution, expected["solution"])
+    for name, value in expected.items():
+        if name != "solution":
+            assert getattr(report, name) == value, name
+
+
+class TestSetulbDrive:
+    """minimize() drives SciPy's private L-BFGS-B routine; SciPy's public
+    wrapper around the same routine is the oracle."""
+
+    def test_setulb_argument_list(self):
+        # minimize passes these arguments by position; a SciPy release that
+        # changes them must fail here rather than inside a solve
+        assert setulb.__doc__.splitlines()[0] == (
+            "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,"
+            "maxls,ln_task)"
+        )
+
+    @staticmethod
+    def coupled_quadratic(seed, dim):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(dim, dim))
+        a = q @ q.T + 0.5 * np.eye(dim)
+        c = rng.normal(scale=2.0, size=dim)
+
+        def f(x):
+            return float(0.5 * (x - c) @ (a @ (x - c)))
+
+        return f, lambda x: a @ (x - c)
+
+    @staticmethod
+    def mixed_box():
+        # two coordinates of each bound code: free, lower only, both, upper only
+        lower = np.array([-np.inf, -np.inf, -0.5, 0.2, -1.0, -0.3, -np.inf, -np.inf])
+        upper = np.array([np.inf, np.inf, np.inf, np.inf, 0.4, 1.0, 0.1, -0.6])
+        return lower, upper
+
+    def test_mixed_bound_codes_match_scipy(self):
+        f, g = self.coupled_quadratic(11, 8)
+        lower, upper = self.mixed_box()
+        config = SolverConfig(pg_tolerance=1e-10)
+        report = minimize(f, g, lower, upper, np.zeros(8), config)
+        expected, _ = scipy_report(f, g, lower, upper, np.zeros(8), config)
+        assert expected["iterations"] > 1
+        # the solution leans on bounds of every finite kind
+        sol = report.solution
+        assert np.any(sol == lower) and np.any(sol == upper)
+        assert_matches_scipy(report, expected)
+        assert report.converged and report.stop_reason == "pg_tolerance"
+
+    def test_iteration_cap_stops_at_scipy_point(self):
+        f, g = self.coupled_quadratic(11, 8)
+        lower, upper = self.mixed_box()
+        config = SolverConfig(pg_tolerance=1e-10, max_iterations=2)
+        report = minimize(f, g, lower, upper, np.zeros(8), config)
+        expected, _ = scipy_report(f, g, lower, upper, np.zeros(8), config)
+        assert report.iterations == 2
+        assert_matches_scipy(report, expected)
+        assert not report.converged
+        assert report.stop_reason == "max_iterations"
+
+    def test_evaluation_cap_stops_at_scipy_point(self, monkeypatch):
+        f, g = self.coupled_quadratic(11, 8)
+        lower, upper = self.mixed_box()
+        config = SolverConfig(pg_tolerance=1e-10)
+        monkeypatch.setattr(screenkhorn.solver, "_MAX_EVALUATIONS", 3)
+        report = minimize(f, g, lower, upper, np.zeros(8), config)
+        expected, warnflag = scipy_report(
+            f, g, lower, upper, np.zeros(8), config, max_evaluations=3
+        )
+        assert warnflag == 1
+        assert_matches_scipy(report, expected)
+        assert report.evaluations - 1 > 3
+        assert not report.converged
+        assert report.stop_reason == "max_evaluations"
+
+    def test_start_and_tolerance_stops(self):
+        c = np.array([0.3, -0.2, 0.1])
+        box = np.full(3, -1.0), np.full(3, 1.0)
+
+        def f(x):
+            return float(((x - c) ** 2).sum())
+
+        def g(x):
+            return 2.0 * (x - c)
+
+        at_start = minimize(f, g, *box, c)
+        assert at_start.stop_reason == "start" and at_start.iterations == 0
+        solved = minimize(f, g, *box, np.zeros(3))
+        assert solved.stop_reason == "pg_tolerance" and solved.iterations > 0
+        assert solved.converged
+
+    def test_failed_line_search_is_abnormal(self):
+        # the gradient points uphill, so no step along -g lowers f
+        free = np.full(2, -np.inf), np.full(2, np.inf)
+
+        def f(x):
+            return float(x.sum())
+
+        def g(x):
+            return -np.ones(2)
+
+        report = minimize(f, g, *free, np.zeros(2))
+        expected, warnflag = scipy_report(f, g, *free, np.zeros(2), SolverConfig())
+        assert warnflag == 2
+        assert_matches_scipy(report, expected)
+        assert not report.converged
+        assert report.stop_reason == "abnormal"
+
+    def test_screened_full_budget_instance_matches_scipy(self):
+        # the full-budget workload's regime at n = m = 200: budget 0.99, eta 1
+        n = 200
+        x, y = generate_gaussian_pair(n, n, 4)
+        mu = nu = DiscreteMeasure(np.full(n, 1.0 / n))
+        K = gibbs_kernel(pairwise_euclidean(x, y, normalize=True), 1.0)
+        budget = Budget(*decimation_to_budget(n, n, 0.99))
+        xi, zeta = ratio_vectors(mu, nu, K)
+        eps, kap = epsilon_kappa(xi, zeta, budget)
+        p = build_problem(mu, nu, K, active_sets(mu, nu, K, eps, kap))
+        lower, upper = box_bounds(p, budget).stacked(p.n_active, p.m_active)
+        a, b = restricted_sinkhorn(
+            p, np.full(p.n_active, eps / kap), np.full(p.m_active, eps * kap)
+        )
+        start = np.concatenate([np.log(a), np.log(b)])
+        f, g = stacked_calls(p)
+        config = SolverConfig()
+        report = minimize(f, g, lower, upper, start, config)
+        expected, _ = scipy_report(f, g, lower, upper, start, config)
+        assert expected["iterations"] > 1
+        assert_matches_scipy(report, expected)
+        assert report.converged == (
+            expected["projected_gradient_inf_norm"] <= config.pg_tolerance
+        )
 
 
 class TestRestrictedSinkhorn:
