@@ -69,12 +69,17 @@ class CostMatrix:
 
     def __post_init__(self):
         c = _as_array(self.entries, "cost entries", 2)
-        if not np.all(np.isfinite(c)):
-            i, j = map(int, np.argwhere(~np.isfinite(c))[0])
-            raise InputError(f"cost entry ({i}, {j}) is not finite")
-        if np.any(c < 0.0):
-            i, j = map(int, np.argwhere(c < 0.0)[0])
-            raise InputError(f"cost entry ({i}, {j}) = {c[i, j]} is negative")
+        # one sweep of range tests, which also reject nan (it fails both
+        # comparisons); the bad entry is located only once one fails, over the
+        # whole array, so a non-finite entry is named before a negative one
+        for rows in _row_chunks(*c.shape):
+            chunk = c[rows]
+            if not (chunk.min() >= 0.0 and chunk.max() < np.inf):
+                if not np.all(np.isfinite(c)):
+                    i, j = map(int, np.argwhere(~np.isfinite(c))[0])
+                    raise InputError(f"cost entry ({i}, {j}) is not finite")
+                i, j = map(int, np.argwhere(c < 0.0)[0])
+                raise InputError(f"cost entry ({i}, {j}) = {c[i, j]} is negative")
         object.__setattr__(self, "entries", c)
 
     @property

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, GibbsKernel, _check_sizes
+from .core import DiscreteMeasure, GibbsKernel, _check_sizes, _row_chunks
 from .errors import (
     DegenerateScreeningError,
     InfeasibleBoundsError,
+    InputError,
     NumericRangeError,
     ShapeError,
 )
@@ -87,9 +88,25 @@ def build_problem(
     cols = sr.active_cols
     if rows.size == 0 or cols.size == 0:
         raise DegenerateScreeningError("active sets must be nonempty")
+    if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m:
+        raise InputError(f"active indices fall outside the kernel's shape ({n}, {m})")
 
-    km = K.entries
-    block = km[np.ix_(rows, cols)]
+    # one sweep: each chunk of block rows is gathered with one flat take from
+    # the row-major kernel (mode="clip" writes into the block unbuffered; the
+    # indices were checked above) and summed and scanned while it sits in
+    # cache, so the block is never read again here
+    flat = K.entries.reshape(-1)
+    block = np.empty((rows.size, cols.size))
+    block_row_sums = np.empty(rows.size)
+    block_col_sums = np.zeros(cols.size)
+    k_min = np.inf
+    for sl in _row_chunks(*block.shape):
+        chunk = block[sl]
+        flat.take(rows[sl, None] * m + cols, out=chunk, mode="clip")
+        chunk.sum(axis=1, out=block_row_sums[sl])
+        block_col_sums += chunk.sum(axis=0)
+        k_min = min(k_min, float(chunk.min()))
+
     # cross sums by inclusion-exclusion against the cached kernel sums, so
     # the (possibly huge) complement blocks are never materialized; empty
     # complements short-circuit to exact zeros
@@ -98,11 +115,11 @@ def build_problem(
     if full_cols:
         s = np.zeros(rows.size)
     else:
-        s = np.maximum(K.row_sums[rows] - block.sum(axis=1), 0.0)
+        s = np.maximum(K.row_sums[rows] - block_row_sums, 0.0)
     if full_rows:
         t = np.zeros(cols.size)
     else:
-        t = np.maximum(K.col_sums[cols] - block.sum(axis=0), 0.0)
+        t = np.maximum(K.col_sums[cols] - block_col_sums, 0.0)
     if full_rows or full_cols:
         corner = 0.0
     else:
@@ -110,7 +127,7 @@ def build_problem(
             float(K.row_sums.sum())
             - float(K.row_sums[rows].sum())
             - float(K.col_sums[cols].sum())
-            + float(block.sum()),
+            + float(block_row_sums.sum()),
             0.0,
         )
 
@@ -133,7 +150,7 @@ def build_problem(
         kappa=kap,
         mu_active=mu.weights[rows],
         nu_active=nu.weights[cols],
-        k_min=float(block.min()),
+        k_min=k_min,
         n=n,
         m=m,
         n_active=rows.size,

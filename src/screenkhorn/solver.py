@@ -11,9 +11,10 @@ the way SciPy's public L-BFGS-B wrapper does, so the iterates are that
 wrapper's, without its per-coordinate bound conversion and function
 wrappers. Then
 minimize() re-verifies the result itself: the returned point is clipped into
-the box, objective and gradient are re-evaluated there, and convergence is
-decided from our own projected-gradient norm rather than the routine's
-status.
+the box, its objective and gradient are taken from the routine's last
+evaluation when that was at this very point and evaluated afresh otherwise,
+and convergence is decided from our own projected-gradient norm rather than
+the routine's status. `evaluations` counts distinct evaluated points.
 The f-decrease stopping test is disabled (factr=0) so the only live stopping
 criteria are the projected-gradient tolerance and the two caps.
 
@@ -214,17 +215,22 @@ def minimize(
         else:
             break
 
-    # recheck at the (defensively clipped) returned point; this evaluation is
-    # counted and is what the report is based on
+    # recheck at the (defensively clipped) returned point: the report rests on
+    # the objective and gradient there. setulb normally stops at the point it
+    # last asked for, whose evaluation is reused; any other point (the
+    # previous iterate after a failed line search, or one the clip moved) is
+    # evaluated and counted
     x = np.clip(x, lower, upper)
-    f_final, g_final = evaluate(x)
-    pg_norm = float(np.abs(projected_gradient(x, g_final, lower, upper)).max())
+    if not np.array_equal(x, at):
+        f, g = evaluate(x)
+        evaluations += 1
+    pg_norm = float(np.abs(projected_gradient(x, g, lower, upper)).max())
     return SolverReport(
         solution=x,
-        objective_value=f_final,
+        objective_value=f,
         projected_gradient_inf_norm=pg_norm,
         iterations=iterations,
-        evaluations=evaluations + 1,
+        evaluations=evaluations,
         converged=bool(pg_norm <= config.pg_tolerance),
         stop_reason=_STOP_REASONS.get((int(task[0]), int(task[1])), "abnormal"),
     )

@@ -66,6 +66,31 @@ class TestCostMatrix:
         with pytest.raises(InputError):
             CostMatrix(np.array([[0.0, np.nan]]))
 
+    @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (-2.0, "= -2.0 is negative"),
+            (np.nan, "is not finite"),
+            (np.inf, "is not finite"),
+            (-np.inf, "is not finite"),
+        ],
+    )
+    def test_bad_entry_in_later_chunk_names_global_index(self, n, m, value, message):
+        c = np.ones((n, m))
+        i, j = n - 1, m - 2
+        c[i, j] = value
+        with pytest.raises(InputError, match=rf"cost entry \({i}, {j}\) {message}"):
+            CostMatrix(c)
+
+    def test_nonfinite_entry_named_before_an_earlier_negative(self):
+        n, m = CHUNK_SHAPES[0]
+        c = np.ones((n, m))
+        c[0, 1] = -1.0
+        c[n - 1, 3] = np.nan
+        with pytest.raises(InputError, match=rf"cost entry \({n - 1}, 3\) is not finite"):
+            CostMatrix(c)
+
 
 class TestGibbsKernel:
     def test_zero_cost_gives_ones(self):

@@ -11,6 +11,7 @@ from screenkhorn import (
     DualPotentials,
     GibbsKernel,
     InfeasibleBoundsError,
+    InputError,
     ScreeningResult,
     ShapeError,
     active_sets,
@@ -126,6 +127,94 @@ class TestBuildProblem:
         block = K.entries[np.ix_(sr.active_rows, sr.active_cols)]
         np.testing.assert_array_equal(p.kernel_block, block)
         assert p.k_min == block.min()
+
+
+def ix_reference(mu, nu, K, sr):
+    """The block, cross sums and constant from an np.ix_ gather and
+    whole-block sums, the way build_problem computed them before its
+    chunked sweep."""
+    n, m = K.shape
+    rows, cols = sr.active_rows, sr.active_cols
+    block = K.entries[np.ix_(rows, cols)]
+    full_rows, full_cols = rows.size == n, cols.size == m
+    s = np.zeros(rows.size) if full_cols else np.maximum(
+        K.row_sums[rows] - block.sum(axis=1), 0.0
+    )
+    t = np.zeros(cols.size) if full_rows else np.maximum(
+        K.col_sums[cols] - block.sum(axis=0), 0.0
+    )
+    corner = 0.0 if full_rows or full_cols else max(
+        float(K.row_sums.sum())
+        - float(K.row_sums[rows].sum())
+        - float(K.col_sums[cols].sum())
+        + float(block.sum()),
+        0.0,
+    )
+    eps, kap = sr.epsilon, sr.kappa
+    xi = (
+        eps * eps * corner
+        - kap * math.log(eps / kap) * float(np.delete(mu.weights, rows).sum())
+        - math.log(eps * kap) * float(np.delete(nu.weights, cols).sum()) / kap
+    )
+    return block, s, t, xi
+
+
+class TestBlockSweep:
+    """build_problem gathers the block by row chunks and takes its sums and
+    minimum in the same sweep; an np.ix_ gather is the reference."""
+
+    @staticmethod
+    def instance(seed, n, m, n_act, m_act, eps, kap):
+        rng = np.random.default_rng(seed)
+        mu = DiscreteMeasure(0.5 + rng.random(n))
+        nu = DiscreteMeasure(0.5 + rng.random(m))
+        K = GibbsKernel(0.05 + 0.95 * rng.random((n, m)), 1.0)
+        rows = np.sort(rng.choice(n, n_act, replace=False))
+        cols = np.sort(rng.choice(m, m_act, replace=False))
+        return mu, nu, K, forced_screening(eps, kap, rows, cols)
+
+    @pytest.mark.parametrize(
+        "n, m, n_act, m_act",
+        [
+            (200, 1200, 150, 1000),  # 65 rows per chunk: the last chunk is partial
+            (200, 1100, 128, 1024),  # 64 rows per chunk: two full chunks
+            (4, 70_000, 3, 69_990),  # rows wider than a chunk: one row per chunk
+            (40, 50, 40, 31),  # every row active: t is zero
+            (40, 50, 23, 50),  # every column active: s is zero
+            (40, 50, 40, 50),  # full budget
+        ],
+    )
+    # eps = kap = 1 leaves the corner alone in xi_const
+    @pytest.mark.parametrize("eps, kap", [(1.0, 1.0), (0.3, 1.7)])
+    def test_matches_ix_gather(self, n, m, n_act, m_act, eps, kap):
+        mu, nu, K, sr = self.instance(n + m, n, m, n_act, m_act, eps, kap)
+        p = build_problem(mu, nu, K, sr)
+        block, s, t, xi = ix_reference(mu, nu, K, sr)
+        np.testing.assert_array_equal(p.kernel_block, block)
+        np.testing.assert_array_equal(p.row_cross, s)
+        np.testing.assert_array_equal(p.mu_active, mu.weights[sr.active_rows])
+        np.testing.assert_array_equal(p.nu_active, nu.weights[sr.active_cols])
+        assert p.k_min == block.min()
+        # the block's column sums and total accumulate chunk by chunk, so t
+        # and the corner may differ in the last bits of the kernel sums they
+        # are subtracted from; the constant's mass terms are unchanged
+        cancelled = K.col_sums[sr.active_cols]
+        assert np.all(np.abs(p.col_cross - t) <= 1e-14 * cancelled)
+        total = K.row_sums.sum()
+        assert abs(p.xi_const - xi) <= 1e-14 * (abs(xi) + eps * eps * total)
+        if n_act == n:
+            assert np.all(p.col_cross == 0.0)
+        if m_act == m:
+            assert np.all(p.row_cross == 0.0)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([0, 6], [1]), ([-1, 2], [1]), ([0], [0, 5]), ([0], [-2])],
+    )
+    def test_indices_outside_the_kernel_rejected(self, rows, cols):
+        mu, nu, K, _ = self.instance(0, 6, 5, 1, 1, 1.0, 1.0)
+        with pytest.raises(InputError, match="outside the kernel"):
+            build_problem(mu, nu, K, forced_screening(1.0, 1.0, rows, cols))
 
 
 class TestObjective:

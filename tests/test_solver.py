@@ -311,18 +311,25 @@ class TestMinimizeStart:
         assert info["nit"] > 1
         assert report.iterations == info["nit"]
         # SciPy's own count includes the start, which minimize evaluated and
-        # handed over; the final recheck adds one
-        assert report.evaluations == info["funcalls"] + 1
+        # handed over; the recheck reuses the evaluation at the stop point
+        assert report.evaluations == info["funcalls"]
         assert len(calls) - info["funcalls"] == report.evaluations
         np.testing.assert_array_equal(report.solution, np.clip(x, lower, upper))
 
 
 def scipy_report(f, g, lower, upper, start, config, max_evaluations=_MAX_EVALUATIONS):
     """The report fields minimize should give when SciPy's wrapper runs the
-    iteration (its x clipped and rechecked, its counts plus the recheck),
-    and the wrapper's warnflag."""
+    iteration (its x clipped and rechecked, its counts plus the recheck
+    unless the wrapper last evaluated that very point), and the wrapper's
+    warnflag."""
+    evaluated = []
+
+    def fg(x):
+        evaluated.append(x.copy())
+        return f(x), g(x)
+
     x, _, info = fmin_l_bfgs_b(
-        lambda x: (f(x), g(x)),
+        fg,
         np.clip(start, lower, upper),
         bounds=list(zip(lower, upper)),
         m=_HISTORY_SIZE,
@@ -338,7 +345,7 @@ def scipy_report(f, g, lower, upper, start, config, max_evaluations=_MAX_EVALUAT
         "objective_value": float(f(x)),
         "projected_gradient_inf_norm": float(np.abs(pg).max()),
         "iterations": info["nit"],
-        "evaluations": info["funcalls"] + 1,
+        "evaluations": info["funcalls"] + (not np.array_equal(x, evaluated[-1])),
     }
     return fields, info["warnflag"]
 
@@ -416,7 +423,7 @@ class TestSetulbDrive:
         )
         assert warnflag == 1
         assert_matches_scipy(report, expected)
-        assert report.evaluations - 1 > 3
+        assert report.evaluations > 3
         assert not report.converged
         assert report.stop_reason == "max_evaluations"
 
@@ -452,6 +459,42 @@ class TestSetulbDrive:
         assert_matches_scipy(report, expected)
         assert not report.converged
         assert report.stop_reason == "abnormal"
+
+    @staticmethod
+    def recorded(f):
+        """f, and the list of the points it is called at."""
+        calls = []
+
+        def recording(x):
+            calls.append(x.copy())
+            return f(x)
+
+        return recording, calls
+
+    @pytest.mark.parametrize("max_iterations", [2, SolverConfig().max_iterations])
+    def test_recheck_reuses_the_stop_point(self, max_iterations):
+        f, g = self.coupled_quadratic(11, 8)
+        f, calls = self.recorded(f)
+        lower, upper = self.mixed_box()
+        config = SolverConfig(pg_tolerance=1e-10, max_iterations=max_iterations)
+        report = minimize(f, g, lower, upper, np.zeros(8), config)
+        assert report.iterations > 1
+        # every evaluation is at a new point, and the last one is the answer's
+        assert report.evaluations == len(calls)
+        assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
+        np.testing.assert_array_equal(calls[-1], report.solution)
+
+    def test_abnormal_stop_evaluates_its_point(self):
+        free = np.full(2, -np.inf), np.full(2, np.inf)
+        f, calls = self.recorded(lambda x: float(x.sum()))
+        report = minimize(f, lambda x: -np.ones(2), *free, np.zeros(2))
+        assert report.stop_reason == "abnormal"
+        # after the failed line search the routine hands back an earlier
+        # iterate, not its last trial point, so the recheck evaluates it anew
+        assert report.evaluations == len(calls)
+        assert not np.array_equal(calls[-2], report.solution)
+        np.testing.assert_array_equal(calls[-1], report.solution)
+        assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
     def test_screened_full_budget_instance_matches_scipy(self):
         # the full-budget workload's regime at n = m = 200: budget 0.99, eta 1
