@@ -31,6 +31,9 @@ from .screened import (
     ScreenedDualProblem,
     box_bounds,
     build_problem,
+    evaluate,
+    # not called here; kept importable for perfbench/tracing.py until the
+    # solve records its own trace (ROADMAP item 3)
     gradient,
     objective,
 )
@@ -126,8 +129,7 @@ def screenkhorn(
     k = problem.n_active
     with _step("solve"):
         report = minimize(
-            lambda th: objective(problem, th[:k], th[k:]),
-            lambda th: np.concatenate(gradient(problem, th[:k], th[k:])),
+            lambda th: evaluate(problem, th[:k], th[k:]),
             lower,
             upper,
             theta0,

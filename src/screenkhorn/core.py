@@ -63,32 +63,48 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Nonnegative finite cost per source/target pair."""
+    """Nonnegative finite cost per source/target pair.
+
+    The entries are checked, and their maximum `max_norm` taken, once at
+    construction. Like the sign and finiteness checks, the stored maximum
+    trusts the entries after that: writing into `entries` later is not
+    supported.
+    """
 
     entries: np.ndarray
+    max_norm: float = field(init=False)
 
     def __post_init__(self):
         c = _as_array(self.entries, "cost entries", 2)
         # one sweep of range tests, which also reject nan (it fails both
         # comparisons); the bad entry is located only once one fails, over the
         # whole array, so a non-finite entry is named before a negative one
+        max_norm = -np.inf
         for rows in _row_chunks(*c.shape):
             chunk = c[rows]
-            if not (chunk.min() >= 0.0 and chunk.max() < np.inf):
+            lo, hi = chunk.min(), chunk.max()
+            if not (lo >= 0.0 and hi < np.inf):
                 if not np.all(np.isfinite(c)):
                     i, j = map(int, np.argwhere(~np.isfinite(c))[0])
                     raise InputError(f"cost entry ({i}, {j}) is not finite")
                 i, j = map(int, np.argwhere(c < 0.0)[0])
                 raise InputError(f"cost entry ({i}, {j}) = {c[i, j]} is negative")
+            max_norm = max(max_norm, float(hi))
         object.__setattr__(self, "entries", c)
+        object.__setattr__(self, "max_norm", max_norm)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    @property
-    def max_norm(self) -> float:
-        return float(self.entries.max())
+
+def _add_chunk_sums(
+    chunk: np.ndarray, rows: slice, row_sums: np.ndarray, col_sums: np.ndarray
+) -> None:
+    """Write the chunk's row sums into row_sums[rows] and add its column sums
+    into col_sums."""
+    chunk.sum(axis=1, out=row_sums[rows])
+    col_sums += chunk.sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +136,24 @@ class GibbsKernel:
                 raise InputError(
                     f"kernel entry ({i}, {j}) = {k[i, j]} is outside (0, 1]"
                 )
-            chunk.sum(axis=1, out=row_sums[rows])
-            col_sums += chunk.sum(axis=0)
-        object.__setattr__(self, "entries", k)
+            _add_chunk_sums(chunk, rows, row_sums, col_sums)
+        self._store(k, eta, row_sums, col_sums)
+
+    def _store(self, entries, eta, row_sums, col_sums) -> None:
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "row_sums", row_sums)
         object.__setattr__(self, "col_sums", col_sums)
+
+    @classmethod
+    def _checked(
+        cls, entries: np.ndarray, eta: float, row_sums: np.ndarray, col_sums: np.ndarray
+    ) -> GibbsKernel:
+        """A kernel whose entries and eta the caller has already checked and
+        whose sums it has taken, built without sweeping the entries again."""
+        kernel = object.__new__(cls)
+        kernel._store(entries, eta, row_sums, col_sums)
+        return kernel
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -185,28 +213,40 @@ class DualSolution:
     converged: bool
 
 
+# -log of the smallest normal double: exp(x) is positive for every x above
+# minus this, so no kernel entry can underflow to zero while
+# C.max_norm / eta stays below it
+_EXP_UNDERFLOW = float(-np.log(np.finfo(np.float64).tiny))
+
+
 def gibbs_kernel(C: CostMatrix, eta: float) -> GibbsKernel:
     """K = exp(-C/eta), entrywise."""
     eta = float(eta)
     if not np.isfinite(eta) or eta <= 0.0:
         raise ParameterError(f"eta must be positive and finite, got {eta}")
     c = C.entries
-    k = np.empty(c.shape)
-    # c / -eta is -c / eta bit for bit, and writing each chunk in place
-    # leaves no n x m temporary behind
-    for rows in _row_chunks(*k.shape):
-        np.divide(c[rows], -eta, out=k[rows])
-        np.exp(k[rows], out=k[rows])
-    # exp of a finite nonpositive number lies in [0, 1], so the kernel's own
-    # range check can only reject an entry that underflowed to zero
-    try:
-        return GibbsKernel(k, eta)
-    except InputError:
-        i, j = map(int, np.argwhere(k == 0.0)[0])
-        raise NumericRangeError(
-            f"kernel entry ({i}, {j}) underflowed to zero: cost {C.entries[i, j]} "
-            f"is too large for eta = {eta}"
-        ) from None
+    n, m = c.shape
+    k = np.empty((n, m))
+    row_sums = np.empty(n)
+    col_sums = np.zeros(m)
+    # exp of a finite nonpositive number lies in [0, 1], so of the kernel's
+    # range checks only the zero test can fail, and only past the guard
+    may_underflow = C.max_norm / eta >= _EXP_UNDERFLOW
+    # one sweep: c / -eta is -c / eta bit for bit, each chunk is written in
+    # place (no n x m temporary) and checked and summed while it sits in cache
+    for rows in _row_chunks(n, m):
+        chunk = k[rows]
+        np.divide(c[rows], -eta, out=chunk)
+        np.exp(chunk, out=chunk)
+        if may_underflow and not chunk.min() > 0.0:
+            i, j = map(int, np.argwhere(chunk == 0.0)[0])
+            i += rows.start
+            raise NumericRangeError(
+                f"kernel entry ({i}, {j}) underflowed to zero: cost {c[i, j]} "
+                f"is too large for eta = {eta}"
+            )
+        _add_chunk_sums(chunk, rows, row_sums, col_sums)
+    return GibbsKernel._checked(k, eta, row_sums, col_sums)
 
 
 def _check_sizes(

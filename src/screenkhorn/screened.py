@@ -13,6 +13,11 @@ screened rows of column j, and Xi collects every term that only involves
 screened coordinates held at their thresholds. Evaluating this on (u, v)
 embedded back into full vectors (thresholds on the complements) reproduces
 the full constrained dual exactly; tests rely on that identity.
+
+evaluate() returns the objective and its gradient together from one
+exponentiation per side and two block products, K_IJ b and K_IJ^T a, the
+first shared by the mass term and the u gradient. objective() and gradient()
+are views of it.
 """
 
 from __future__ import annotations
@@ -166,40 +171,52 @@ def _check_lengths(p: ScreenedDualProblem, u: np.ndarray, v: np.ndarray) -> None
         )
 
 
-def objective(p: ScreenedDualProblem, u_active: np.ndarray, v_active: np.ndarray) -> float:
+def evaluate(
+    p: ScreenedDualProblem, u_active: np.ndarray, v_active: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The objective and its stacked gradient (d/du, d/dv) at one point.
+
+    Each side is exponentiated once, and the block is read by two products:
+    K_IJ b serves both the objective's mass term a^T K_IJ b and the u
+    gradient, and K_IJ^T a serves the v gradient.
+    """
     u = np.asarray(u_active, dtype=np.float64)
     v = np.asarray(v_active, dtype=np.float64)
     _check_lengths(p, u, v)
     with np.errstate(over="ignore"):
         a = np.exp(u)
         b = np.exp(v)
+        kb = p.kernel_block @ b
         value = (
-            a @ (p.kernel_block @ b)
+            a @ kb
             + p.epsilon * p.kappa * (a @ p.row_cross)
             + (p.epsilon / p.kappa) * (p.col_cross @ b)
             - p.kappa * (p.mu_active @ u)
             - (p.nu_active @ v) / p.kappa
             + p.xi_const
         )
-    if not np.isfinite(value):
-        raise NumericRangeError("screened objective overflows at this point")
-    return float(value)
+        if not np.isfinite(value):
+            raise NumericRangeError("screened objective overflows at this point")
+        grad = np.concatenate([
+            a * (kb + p.epsilon * p.kappa * p.row_cross) - p.kappa * p.mu_active,
+            b * (p.kernel_block.T @ a + (p.epsilon / p.kappa) * p.col_cross)
+            - p.nu_active / p.kappa,
+        ])
+    if not np.all(np.isfinite(grad)):
+        raise NumericRangeError("screened gradient overflows at this point")
+    return float(value), grad
+
+
+def objective(p: ScreenedDualProblem, u_active: np.ndarray, v_active: np.ndarray) -> float:
+    return evaluate(p, u_active, v_active)[0]
 
 
 def gradient(
     p: ScreenedDualProblem, u_active: np.ndarray, v_active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u_active, dtype=np.float64)
-    v = np.asarray(v_active, dtype=np.float64)
-    _check_lengths(p, u, v)
-    with np.errstate(over="ignore"):
-        a = np.exp(u)
-        b = np.exp(v)
-        grad_u = a * (p.kernel_block @ b + p.epsilon * p.kappa * p.row_cross) - p.kappa * p.mu_active
-        grad_v = b * (p.kernel_block.T @ a + (p.epsilon / p.kappa) * p.col_cross) - p.nu_active / p.kappa
-    if not (np.all(np.isfinite(grad_u)) and np.all(np.isfinite(grad_v))):
-        raise NumericRangeError("screened gradient overflows at this point")
-    return grad_u, grad_v
+    """(d/du, d/dv), the two halves of evaluate's stacked gradient."""
+    grad = evaluate(p, u_active, v_active)[1]
+    return grad[: p.n_active], grad[p.n_active :]
 
 
 def _box_side(

@@ -1,5 +1,5 @@
-"""Static screening: ordered ratio vectors, the budget to (epsilon, kappa)
-map, and identification of the active sets I and J.
+"""Static screening: ratio vectors, the budget to (epsilon, kappa) map,
+and identification of the active sets I and J.
 
 The test keeps every index i with mu_i >= (epsilon^2/kappa) r_i(K), and
 every j with nu_j >= kappa epsilon^2 c_j(K). Indices failing the test are
@@ -57,13 +57,15 @@ class ScreeningResult:
 def ratio_vectors(
     mu: DiscreteMeasure, nu: DiscreteMeasure, K: GibbsKernel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """mu/r(K) and nu/c(K), each sorted descending (stable in original index)."""
+    """mu/r(K) and nu/c(K), in the original index order."""
     _check_sizes(mu, nu, K)
-    row_ratio = mu.weights / K.row_sums
-    col_ratio = nu.weights / K.col_sums
-    xi = row_ratio[np.argsort(-row_ratio, kind="stable")]
-    zeta = col_ratio[np.argsort(-col_ratio, kind="stable")]
-    return xi, zeta
+    return mu.weights / K.row_sums, nu.weights / K.col_sums
+
+
+def _kth_largest(x: np.ndarray, k: int) -> float:
+    """The k-th largest entry of x (1-based), by one partial sort."""
+    pos = x.shape[0] - k
+    return float(np.partition(x, pos)[pos])
 
 
 def epsilon_kappa(
@@ -71,9 +73,10 @@ def epsilon_kappa(
 ) -> tuple[float, float]:
     """epsilon = (xi_{n_b} zeta_{m_b})^{1/4}, kappa = sqrt(zeta_{m_b}/xi_{n_b}).
 
-    Indices are 1-based in the formula, so the n_b-th largest ratio lives at
-    xi[n_b - 1]. By construction epsilon^2/kappa = xi_{n_b} and
-    epsilon^2 kappa = zeta_{m_b} up to rounding.
+    xi_{n_b} is the n_b-th largest row ratio and zeta_{m_b} the m_b-th largest
+    column ratio; the ratio vectors may come in any order. By construction
+    epsilon^2/kappa = xi_{n_b} and epsilon^2 kappa = zeta_{m_b} up to
+    rounding.
     """
     xi = np.asarray(xi, dtype=np.float64)
     zeta = np.asarray(zeta, dtype=np.float64)
@@ -82,8 +85,8 @@ def epsilon_kappa(
             f"budget ({budget.n_b}, {budget.m_b}) exceeds problem size "
             f"({xi.shape[0]}, {zeta.shape[0]})"
         )
-    x = float(xi[budget.n_b - 1])
-    z = float(zeta[budget.m_b - 1])
+    x = _kth_largest(xi, budget.n_b)
+    z = _kth_largest(zeta, budget.m_b)
     if x <= 0.0 or z <= 0.0:
         raise DegenerateScreeningError(
             f"ratio at the budget index is not positive (xi_nb = {x}, zeta_mb = {z})"

@@ -5,11 +5,11 @@ minimize() evaluates the clipped start first and returns there when its
 projected gradient already meets the tolerance. Otherwise it runs SciPy's
 L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu 1995), `setulb`, by reverse
 communication: the routine asks for the objective and gradient at a point,
-or reports a new iterate, until it stops. The loop answers the first request
-with the start's evaluation, and caps and counts iterations and evaluations
-the way SciPy's public L-BFGS-B wrapper does, so the iterates are that
-wrapper's, without its per-coordinate bound conversion and function
-wrappers. Then
+which one call of the caller's function returns together, or reports a new
+iterate, until it stops. The loop answers the first request with the
+start's evaluation, and caps and counts iterations and evaluations the way
+SciPy's public L-BFGS-B wrapper does, so the iterates are that wrapper's,
+without its per-coordinate bound conversion and function wrappers. Then
 minimize() re-verifies the result itself: the returned point is clipped into
 the box, its objective and gradient are taken from the routine's last
 evaluation when that was at this very point and evaluated afresh otherwise,
@@ -138,14 +138,17 @@ def restricted_sinkhorn(
 
 
 def minimize(
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     lower: np.ndarray,
     upper: np.ndarray,
     start: np.ndarray,
     config: SolverConfig | None = None,
 ) -> SolverReport:
-    """Minimize a smooth convex function over a coordinate box."""
+    """Minimize a smooth convex function over a coordinate box.
+
+    fun(x) returns the objective and its gradient at x together, as SciPy's
+    jac=True convention has it.
+    """
     if config is None:
         config = SolverConfig()
     lower = np.asarray(lower, dtype=np.float64)
@@ -161,7 +164,8 @@ def minimize(
         raise InputError(f"lower[{bad}] = {lower[bad]} exceeds upper[{bad}] = {upper[bad]}")
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(objective(x)), np.asarray(gradient(x), dtype=np.float64)
+        f, g = fun(x)
+        return float(f), np.asarray(g, dtype=np.float64)
 
     x0 = np.clip(start, lower, upper)
     f0, g0 = evaluate(x0)

@@ -49,6 +49,11 @@ def ring_instance(n, eta=1.0):
     return mu, C, gibbs_kernel(C, eta)
 
 
+def fg(f, g):
+    """The (f, g) callable minimize() takes, from separate f and g."""
+    return lambda x: (f(x), g(x))
+
+
 def dense_plan(potentials, K: GibbsKernel) -> np.ndarray:
     return (
         np.exp(potentials.u)[:, None] * K.entries * np.exp(potentials.v)[None, :]

@@ -1,6 +1,7 @@
 """Ground truth for the reduced solve: an independent projected gradient
-method that the tests compare minimize() against. It shares no code with
-the quasi-Newton path.
+method that the tests compare minimize() against, and the screened objective
+and gradient summed from the dense plan. Neither shares code with the
+quasi-Newton path.
 """
 
 from __future__ import annotations
@@ -10,6 +11,34 @@ import numpy as np
 from screenkhorn import InputError, ScreenkhornError, ShapeError
 from screenkhorn.screened import ScreenedDualProblem, gradient, objective
 from screenkhorn.solver import projected_gradient
+
+
+def screened_value_and_gradient(
+    p: ScreenedDualProblem, u: np.ndarray, v: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The screened objective and its stacked gradient, each with the sum of
+    the absolute values of its terms, from the dense active plan
+    P = diag(e^u) K_IJ diag(e^v): the mass term is the total of P and the
+    gradients carry its row and column sums."""
+    a, b = np.exp(u), np.exp(v)
+    plan = a[:, None] * p.kernel_block * b[None, :]
+    row_cross = p.epsilon * p.kappa * a * p.row_cross
+    col_cross = (p.epsilon / p.kappa) * b * p.col_cross
+    terms = [
+        plan.sum(),
+        row_cross.sum(),
+        col_cross.sum(),
+        -p.kappa * float(np.dot(p.mu_active, u)),
+        -float(np.dot(p.nu_active, v)) / p.kappa,
+        p.xi_const,
+    ]
+    row_terms = [plan.sum(axis=1), row_cross, -p.kappa * p.mu_active]
+    col_terms = [plan.sum(axis=0), col_cross, -p.nu_active / p.kappa]
+    grad = np.concatenate([sum(row_terms), sum(col_terms)])
+    grad_scale = np.concatenate([
+        sum(np.abs(t) for t in row_terms), sum(np.abs(t) for t in col_terms)
+    ])
+    return float(sum(terms)), float(sum(abs(t) for t in terms)), grad, grad_scale
 
 
 class OracleFailureError(ScreenkhornError):

@@ -38,7 +38,7 @@ from screenkhorn import (
 )
 from screenkhorn._rng import derive_seed, uniforms
 from screenkhorn.screened import gradient, objective
-from conftest import random_instance, ring_instance, symmetric_instance
+from conftest import fg, random_instance, ring_instance, symmetric_instance
 from oracle import oracle_solve
 
 MASTER_SEED = 20260819
@@ -192,7 +192,7 @@ def test_criterion_3_solver_equivalence():
             return np.concatenate(gradient(p, x[:k], x[k:]))
 
         start = np.clip(np.zeros(lower.size), lower, upper)
-        report = minimize(f, g, lower, upper, start, SolverConfig(pg_tolerance=1e-9))
+        report = minimize(fg(f, g), lower, upper, start, SolverConfig(pg_tolerance=1e-9))
         # Oracle tolerance 1e-8 keeps its objective error around 1e-15, far
         # below the 1e-6 agreement target; tighter settings can stall the
         # projected gradient near its floating point floor on small boxes.

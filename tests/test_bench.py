@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from screenkhorn import (
     pairwise_euclidean,
     plan_from_potentials,
     run_experiment,
+    screenkhorn,
 )
 from screenkhorn import gibbs_kernel
 from screenkhorn.bench import (
@@ -379,3 +382,31 @@ class TestMatrixFiles:
         mu2, nu2, C = load_problem(measures, cost)
         assert C.shape == (2, 2)
         np.testing.assert_allclose(nu2.weights, nu.weights, rtol=1e-15)
+
+
+class TestPerfbenchTracing:
+    """perfbench/tracing.py wraps library functions by (module, name); every
+    name it lists must still resolve, or `perfbench/run.py --trace 1` fails."""
+
+    @staticmethod
+    def tracing_module():
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_target_resolves(self):
+        tracing = self.tracing_module()
+        for module, name in tracing.TARGETS:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+    def test_traced_solve_records_its_stages(self):
+        tracing = self.tracing_module()
+        mu, nu, C, _ = random_instance(21, 7, 7)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            report = screenkhorn(C, 1.0, mu, nu, 7, 7).solver_report
+        names = {span[0] for span in tracer.spans}
+        assert {"core.gibbs_kernel", "screened.build_problem", "solver.minimize"} <= names
+        assert report.iterations > 0

@@ -19,7 +19,7 @@ from screenkhorn import (
     plan_from_potentials,
     sinkhorn,
 )
-from screenkhorn.core import _CHUNK_ENTRIES
+from screenkhorn.core import _CHUNK_ENTRIES, _EXP_UNDERFLOW
 from conftest import dense_plan, random_instance
 
 # rows of 1000 put 65 rows in a chunk, so 137 rows end partway through the
@@ -65,6 +65,15 @@ class TestCostMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             CostMatrix(np.array([[0.0, np.nan]]))
+
+    @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
+    def test_stored_max_is_the_entries_max(self, n, m):
+        c = np.random.default_rng(m).uniform(0.0, 3.0, size=(n, m))
+        c[n - 1, m - 2] = 3.5
+        C = CostMatrix(c)
+        assert C.max_norm == c.max() == 3.5
+        c[0, 0] = np.nextafter(3.5, 4.0)
+        assert CostMatrix(c).max_norm == c.max()
 
     @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
     @pytest.mark.parametrize(
@@ -147,6 +156,56 @@ class TestGibbsKernel:
         k[i, j] = value
         with pytest.raises(InputError, match=rf"kernel entry \({i}, {j}\) = {value} "):
             GibbsKernel(k, 1.0)
+
+    @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
+    def test_one_sweep_matches_constructor_bitwise(self, n, m):
+        c = np.random.default_rng(n + 1).uniform(0.0, 3.0, size=(n, m))
+        eta = 0.7
+        K = gibbs_kernel(CostMatrix(c), eta)
+        want = GibbsKernel(np.exp(c / -eta), eta)
+        np.testing.assert_array_equal(K.entries, want.entries)
+        np.testing.assert_array_equal(K.row_sums, want.row_sums)
+        np.testing.assert_array_equal(K.col_sums, want.col_sums)
+        assert K.eta == want.eta
+
+    @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
+    def test_entries_in_unit_interval_with_zero_costs(self, n, m):
+        c = np.random.default_rng(n + 2).uniform(0.0, 40.0, size=(n, m))
+        c[::2, ::3] = 0.0
+        K = gibbs_kernel(CostMatrix(c), 0.5)
+        assert K.entries.min() > 0.0
+        assert K.entries.max() <= 1.0
+        assert np.all(K.entries[::2, ::3] == 1.0)
+
+    @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_costs_either_side_of_underflow_guard(self, n, m, side):
+        # just below the guard no entry is tested for zero, just above every
+        # chunk is; exp is positive on both sides (subnormal above), so both
+        # kernels come out as the constructor's
+        eta = 0.25
+        c = np.ones((n, m))
+        c[n - 1, m - 2] = eta * _EXP_UNDERFLOW * (1.0 + side * 1e-6)
+        K = gibbs_kernel(CostMatrix(c), eta)
+        want = GibbsKernel(np.exp(c / -eta), eta)
+        np.testing.assert_array_equal(K.entries, want.entries)
+        np.testing.assert_array_equal(K.row_sums, want.row_sums)
+        np.testing.assert_array_equal(K.col_sums, want.col_sums)
+        assert K.entries[n - 1, m - 2] > 0.0
+
+    @pytest.mark.parametrize("n, m", CHUNK_SHAPES)
+    @pytest.mark.parametrize("scale", [746.0, 1e6])
+    def test_underflow_in_later_chunk_names_global_index(self, n, m, scale):
+        # exp(-746) is the first integer step past exp's last subnormal; the
+        # entry at (i, j), in the last chunk, underflows to exactly zero
+        eta = 0.25
+        c = np.ones((n, m))
+        i, j = n - 1, m - 2
+        c[i, j] = eta * scale
+        with pytest.raises(
+            NumericRangeError, match=rf"kernel entry \({i}, {j}\) underflowed to zero"
+        ):
+            gibbs_kernel(CostMatrix(c), eta)
 
     @given(seed=st.integers(min_value=0, max_value=2**32))
     def test_entries_bounded_by_cost_extremes(self, seed):

@@ -12,6 +12,7 @@ from screenkhorn import (
     GibbsKernel,
     InfeasibleBoundsError,
     InputError,
+    NumericRangeError,
     ScreeningResult,
     ShapeError,
     active_sets,
@@ -22,8 +23,9 @@ from screenkhorn import (
     ratio_vectors,
     sinkhorn,
 )
-from screenkhorn.screened import gradient, objective
+from screenkhorn.screened import evaluate, gradient, objective
 from conftest import random_instance, symmetric_instance
+from oracle import screened_value_and_gradient
 
 
 def forced_screening(eps, kap, rows, cols):
@@ -315,6 +317,61 @@ class TestGradient:
         numeric = fd_gradient(p, u, v)
         scale = max(np.abs(analytic).max(), 1e-12)
         assert np.abs(numeric - analytic).max() / scale < 1e-5
+
+
+def off_threshold_point(sr, p):
+    """Active potentials moved off their thresholds by a few tenths."""
+    u = math.log(sr.epsilon / sr.kappa) + 0.4 * np.sin(1.0 + np.arange(float(p.n_active)))
+    v = math.log(sr.epsilon * sr.kappa) + 0.3 * np.cos(2.0 + np.arange(float(p.m_active)))
+    return u, v
+
+
+class TestEvaluate:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        n_b=st.integers(min_value=1, max_value=40),
+        m_b=st.integers(min_value=1, max_value=30),
+        eta=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_matches_dense_plan_oracle(self, seed, n_b, m_b, eta):
+        _, _, _, sr, p = screened_problem(seed, 40, 30, n_b, m_b, eta)
+        u, v = off_threshold_point(sr, p)
+        f, g = evaluate(p, u, v)
+        want_f, f_scale, want_g, g_scale = screened_value_and_gradient(p, u, v)
+        assert abs(f - want_f) <= 1e-14 * f_scale
+        assert np.all(np.abs(g - want_g) <= 1e-14 * g_scale)
+
+    @pytest.mark.parametrize("n_b, m_b", [(20, 15), (40, 30), (1, 1)])
+    def test_views_and_separate_formulas_agree_bitwise(self, n_b, m_b):
+        # objective() and gradient() are views of evaluate(), and all three
+        # equal the separate objective and gradient formulas bit for bit
+        _, _, _, sr, p = screened_problem(4, 40, 30, n_b, m_b)
+        u, v = off_threshold_point(sr, p)
+        a, b = np.exp(u), np.exp(v)
+        eps, kap = p.epsilon, p.kappa
+        value = (
+            a @ (p.kernel_block @ b)
+            + eps * kap * (a @ p.row_cross)
+            + (eps / kap) * (p.col_cross @ b)
+            - kap * (p.mu_active @ u)
+            - (p.nu_active @ v) / kap
+            + p.xi_const
+        )
+        grad_u = a * (p.kernel_block @ b + eps * kap * p.row_cross) - kap * p.mu_active
+        grad_v = b * (p.kernel_block.T @ a + (eps / kap) * p.col_cross) - p.nu_active / kap
+        f, g = evaluate(p, u, v)
+        assert f == value
+        np.testing.assert_array_equal(g, np.concatenate([grad_u, grad_v]))
+        assert objective(p, u, v) == value
+        gu, gv = gradient(p, u, v)
+        np.testing.assert_array_equal(gu, grad_u)
+        np.testing.assert_array_equal(gv, grad_v)
+
+    def test_overflow_named(self):
+        _, _, _, _, p = screened_problem(2, 5, 4, 3, 3)
+        big = np.full(p.n_active, 800.0)
+        with pytest.raises(NumericRangeError, match="screened objective overflows"):
+            evaluate(p, big, np.zeros(p.m_active))
 
 
 class TestBoxBounds:

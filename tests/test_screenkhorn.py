@@ -22,6 +22,8 @@ from screenkhorn import (
     violation_certificate_cols,
     violation_certificate_rows,
 )
+from screenkhorn import algorithm
+from screenkhorn.screened import evaluate
 from conftest import random_instance, ring_instance, symmetric_instance
 
 
@@ -204,6 +206,25 @@ class TestRobustness:
         assert report.stop_reason == "max_iterations"
         assert report.iterations == 1
         assert not report.converged
+
+    def test_solve_evaluates_once_per_counted_point(self, monkeypatch):
+        # one evaluate() call per evaluation the report counts, and neither
+        # objective() nor gradient() on the solve path
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        def unused(*args):
+            raise AssertionError("objective() or gradient() called on the solve path")
+
+        monkeypatch.setattr(algorithm, "evaluate", counted)
+        monkeypatch.setattr(algorithm, "objective", unused)
+        monkeypatch.setattr(algorithm, "gradient", unused)
+        report = solve_random(21, 7, 7, 7, 7).solver_report
+        assert report.iterations > 0
+        assert len(calls) == report.evaluations
 
     def test_infeasible_bounds_named_step(self):
         mu, nu, C, _ = random_instance(1, 6, 5)

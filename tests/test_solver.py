@@ -27,7 +27,7 @@ from screenkhorn.bench import generate_gaussian_pair, pairwise_euclidean
 from screenkhorn.core import gibbs_kernel
 from screenkhorn.solver import _HISTORY_SIZE, _MAX_EVALUATIONS, projected_gradient
 from screenkhorn.screened import gradient, objective
-from conftest import random_instance
+from conftest import fg, random_instance
 from oracle import oracle_solve
 
 
@@ -104,8 +104,10 @@ class TestProjectedGradient:
 class TestMinimizeQuadratics:
     def test_boundary_optimum(self):
         report = minimize(
-            lambda x: float((x[0] - 2.0) ** 2),
-            lambda x: np.array([2.0 * (x[0] - 2.0)]),
+            fg(
+                lambda x: float((x[0] - 2.0) ** 2),
+                lambda x: np.array([2.0 * (x[0] - 2.0)]),
+            ),
             np.array([0.0]),
             np.array([1.0]),
             np.array([0.2]),
@@ -119,8 +121,10 @@ class TestMinimizeQuadratics:
         lower = np.full(3, -1.0)
         upper = np.full(3, 1.0)
         report = minimize(
-            lambda x: float(((x - c) ** 2).sum()),
-            lambda x: 2.0 * (x - c),
+            fg(
+                lambda x: float(((x - c) ** 2).sum()),
+                lambda x: 2.0 * (x - c),
+            ),
             lower,
             upper,
             np.zeros(3),
@@ -134,8 +138,10 @@ class TestMinimizeQuadratics:
         # solve reaches its interior optimum however far from the start
         c = np.array([40.0, -70.0, 0.5])
         report = minimize(
-            lambda x: float(((x - c) ** 2).sum()),
-            lambda x: 2.0 * (x - c),
+            fg(
+                lambda x: float(((x - c) ** 2).sum()),
+                lambda x: 2.0 * (x - c),
+            ),
             np.full(3, -np.inf),
             np.full(3, np.inf),
             np.zeros(3),
@@ -152,8 +158,10 @@ class TestMinimizeQuadratics:
         lower = np.full(3, -1.0)
         upper = np.full(3, 1.0)
         report = minimize(
-            lambda x: float(((x - c) ** 2).sum()),
-            lambda x: 2.0 * (x - c),
+            fg(
+                lambda x: float(((x - c) ** 2).sum()),
+                lambda x: 2.0 * (x - c),
+            ),
             lower,
             upper,
             np.zeros(3),
@@ -176,7 +184,7 @@ class TestMinimizeQuadratics:
         def f(x):
             return float(((x - c) ** 2).sum())
 
-        report = minimize(f, lambda x: 2.0 * (x - c), lower, upper, start)
+        report = minimize(fg(f, lambda x: 2.0 * (x - c)), lower, upper, start)
         assert np.all(report.solution >= lower)
         assert np.all(report.solution <= upper)
         assert report.objective_value <= f(start) + 1e-12
@@ -189,8 +197,10 @@ class TestMinimizeQuadratics:
 class TestMinimizeContracts:
     def test_start_outside_box_is_clipped(self):
         report = minimize(
-            lambda x: float(x[0] ** 2),
-            lambda x: np.array([2.0 * x[0]]),
+            fg(
+                lambda x: float(x[0] ** 2),
+                lambda x: np.array([2.0 * x[0]]),
+            ),
             np.array([-1.0]),
             np.array([1.0]),
             np.array([25.0]),
@@ -212,7 +222,7 @@ class TestMinimizeContracts:
 
         cfg = SolverConfig(pg_tolerance=1e-12, max_iterations=1)
         report = minimize(
-            f, g, np.full(2, -5.0), np.full(2, 5.0), np.array([-3.0, -4.0]), cfg
+            fg(f, g), np.full(2, -5.0), np.full(2, 5.0), np.array([-3.0, -4.0]), cfg
         )
         assert not report.converged
         assert report.iterations <= 1
@@ -220,8 +230,10 @@ class TestMinimizeContracts:
 
     def test_converged_flag_matches_report(self):
         report = minimize(
-            lambda x: float(x[0] ** 2),
-            lambda x: np.array([2.0 * x[0]]),
+            fg(
+                lambda x: float(x[0] ** 2),
+                lambda x: np.array([2.0 * x[0]]),
+            ),
             np.array([-1.0]),
             np.array([1.0]),
             np.array([0.7]),
@@ -233,8 +245,10 @@ class TestMinimizeContracts:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             minimize(
-                lambda x: 0.0,
-                lambda x: np.zeros(2),
+                fg(
+                    lambda x: 0.0,
+                    lambda x: np.zeros(2),
+                ),
                 np.zeros(2),
                 np.ones(3),
                 np.zeros(2),
@@ -243,8 +257,10 @@ class TestMinimizeContracts:
     def test_crossed_bounds(self):
         with pytest.raises(InputError, match="lower\\[1\\]"):
             minimize(
-                lambda x: 0.0,
-                lambda x: np.zeros(2),
+                fg(
+                    lambda x: 0.0,
+                    lambda x: np.zeros(2),
+                ),
                 np.array([0.0, 2.0]),
                 np.array([1.0, 1.0]),
                 np.zeros(2),
@@ -253,8 +269,10 @@ class TestMinimizeContracts:
     def test_pinned_box_returns_that_point(self):
         point = np.array([0.25, -0.5])
         report = minimize(
-            lambda x: float((x ** 2).sum()),
-            lambda x: 2.0 * x,
+            fg(
+                lambda x: float((x ** 2).sum()),
+                lambda x: 2.0 * x,
+            ),
             point,
             point,
             np.zeros(2),
@@ -280,7 +298,7 @@ class TestMinimizeStart:
     def test_optimal_start_returns_without_iterating(self):
         c = np.array([0.3, -0.2, 0.1])
         f, g, calls = self.counted_quadratic(np.diag([1.0, 2.0, 3.0]), c)
-        report = minimize(f, g, np.full(3, -1.0), np.full(3, 1.0), c)
+        report = minimize(fg(f, g), np.full(3, -1.0), np.full(3, 1.0), c)
         assert report.iterations == 0
         assert report.evaluations == 1
         assert len(calls) == 1
@@ -297,7 +315,7 @@ class TestMinimizeStart:
         start = np.zeros(6)
         tol = 1e-10
         f, g, calls = self.counted_quadratic(a, c)
-        report = minimize(f, g, lower, upper, start, SolverConfig(pg_tolerance=tol))
+        report = minimize(fg(f, g), lower, upper, start, SolverConfig(pg_tolerance=tol))
         x, _, info = fmin_l_bfgs_b(
             lambda x: (f(x), g(x)),
             start,
@@ -392,7 +410,7 @@ class TestSetulbDrive:
         f, g = self.coupled_quadratic(11, 8)
         lower, upper = self.mixed_box()
         config = SolverConfig(pg_tolerance=1e-10)
-        report = minimize(f, g, lower, upper, np.zeros(8), config)
+        report = minimize(fg(f, g), lower, upper, np.zeros(8), config)
         expected, _ = scipy_report(f, g, lower, upper, np.zeros(8), config)
         assert expected["iterations"] > 1
         # the solution leans on bounds of every finite kind
@@ -405,7 +423,7 @@ class TestSetulbDrive:
         f, g = self.coupled_quadratic(11, 8)
         lower, upper = self.mixed_box()
         config = SolverConfig(pg_tolerance=1e-10, max_iterations=2)
-        report = minimize(f, g, lower, upper, np.zeros(8), config)
+        report = minimize(fg(f, g), lower, upper, np.zeros(8), config)
         expected, _ = scipy_report(f, g, lower, upper, np.zeros(8), config)
         assert report.iterations == 2
         assert_matches_scipy(report, expected)
@@ -417,7 +435,7 @@ class TestSetulbDrive:
         lower, upper = self.mixed_box()
         config = SolverConfig(pg_tolerance=1e-10)
         monkeypatch.setattr(screenkhorn.solver, "_MAX_EVALUATIONS", 3)
-        report = minimize(f, g, lower, upper, np.zeros(8), config)
+        report = minimize(fg(f, g), lower, upper, np.zeros(8), config)
         expected, warnflag = scipy_report(
             f, g, lower, upper, np.zeros(8), config, max_evaluations=3
         )
@@ -437,9 +455,9 @@ class TestSetulbDrive:
         def g(x):
             return 2.0 * (x - c)
 
-        at_start = minimize(f, g, *box, c)
+        at_start = minimize(fg(f, g), *box, c)
         assert at_start.stop_reason == "start" and at_start.iterations == 0
-        solved = minimize(f, g, *box, np.zeros(3))
+        solved = minimize(fg(f, g), *box, np.zeros(3))
         assert solved.stop_reason == "pg_tolerance" and solved.iterations > 0
         assert solved.converged
 
@@ -453,7 +471,7 @@ class TestSetulbDrive:
         def g(x):
             return -np.ones(2)
 
-        report = minimize(f, g, *free, np.zeros(2))
+        report = minimize(fg(f, g), *free, np.zeros(2))
         expected, warnflag = scipy_report(f, g, *free, np.zeros(2), SolverConfig())
         assert warnflag == 2
         assert_matches_scipy(report, expected)
@@ -477,7 +495,7 @@ class TestSetulbDrive:
         f, calls = self.recorded(f)
         lower, upper = self.mixed_box()
         config = SolverConfig(pg_tolerance=1e-10, max_iterations=max_iterations)
-        report = minimize(f, g, lower, upper, np.zeros(8), config)
+        report = minimize(fg(f, g), lower, upper, np.zeros(8), config)
         assert report.iterations > 1
         # every evaluation is at a new point, and the last one is the answer's
         assert report.evaluations == len(calls)
@@ -487,7 +505,7 @@ class TestSetulbDrive:
     def test_abnormal_stop_evaluates_its_point(self):
         free = np.full(2, -np.inf), np.full(2, np.inf)
         f, calls = self.recorded(lambda x: float(x.sum()))
-        report = minimize(f, lambda x: -np.ones(2), *free, np.zeros(2))
+        report = minimize(fg(f, lambda x: -np.ones(2)), *free, np.zeros(2))
         assert report.stop_reason == "abnormal"
         # after the failed line search the routine hands back an earlier
         # iterate, not its last trial point, so the recheck evaluates it anew
@@ -513,7 +531,7 @@ class TestSetulbDrive:
         start = np.concatenate([np.log(a), np.log(b)])
         f, g = stacked_calls(p)
         config = SolverConfig()
-        report = minimize(f, g, lower, upper, start, config)
+        report = minimize(fg(f, g), lower, upper, start, config)
         expected, _ = scipy_report(f, g, lower, upper, start, config)
         assert expected["iterations"] > 1
         assert_matches_scipy(report, expected)
@@ -612,7 +630,7 @@ class TestScreenedDualSolve:
         lower, upper = bb.stacked(p.n_active, p.m_active)
         f, g = stacked_calls(p)
         start = np.clip(np.zeros(lower.size), lower, upper)
-        report = minimize(f, g, lower, upper, start, SolverConfig(pg_tolerance=1e-9))
+        report = minimize(fg(f, g), lower, upper, start, SolverConfig(pg_tolerance=1e-9))
         oracle_point = oracle_solve(p, lower, upper)
         assert report.converged
         assert abs(report.objective_value - f(oracle_point)) < 1e-6
@@ -621,7 +639,7 @@ class TestScreenedDualSolve:
         p, bb = screened_setup(31, 6, 5, 4, 3)
         lower, upper = bb.stacked(p.n_active, p.m_active)
         f, g = stacked_calls(p)
-        report = minimize(f, g, lower, upper, np.clip(np.zeros(lower.size), lower, upper))
+        report = minimize(fg(f, g), lower, upper, np.clip(np.zeros(lower.size), lower, upper))
         assert np.all(report.solution >= lower)
         assert np.all(report.solution <= upper)
 
@@ -633,7 +651,7 @@ class TestScreenedDualSolve:
         f, g = stacked_calls(p)
         tol = 1e-8
         report = minimize(
-            f, g, lower, upper,
+            fg(f, g), lower, upper,
             np.clip(np.zeros(lower.size), lower, upper),
             SolverConfig(pg_tolerance=tol),
         )
