@@ -28,7 +28,6 @@ from .core import (
 from .errors import ParameterError, ScreenkhornError
 from .screened import (
     BoxBounds,
-    ScreenedDualProblem,
     box_bounds,
     build_problem,
     evaluate,
@@ -57,7 +56,11 @@ class ScreenkhornResult:
     row_marginal: np.ndarray
     col_marginal: np.ndarray
     screening: ScreeningResult
-    problem: ScreenedDualProblem
+    # the smallest entry of the active block K_IJ, which the box bounds and
+    # the certificates read. The result keeps it rather than the screened
+    # problem, which in its full layout is K itself: a result holding K would
+    # keep the n x m kernel alive for as long as the caller keeps the result
+    k_min: float
     bounds: BoxBounds
     budget: Budget
     solver_report: SolverReport
@@ -152,7 +155,7 @@ def screenkhorn(
         row_marginal=row_marginal,
         col_marginal=col_marginal,
         screening=sr,
-        problem=problem,
+        k_min=problem.k_min,
         bounds=bounds,
         budget=budget,
         solver_report=report,

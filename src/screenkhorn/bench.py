@@ -232,7 +232,7 @@ def certify_outcome(
     bounds.
     """
     res = outcome.screened
-    lower, upper = res.bounds.stacked(res.problem.n_active, res.problem.m_active)
+    lower, upper = res.bounds.stacked(res.screening.n_active, res.screening.m_active)
     sol = res.solver_report.solution
     inside = bool(np.all(sol >= lower) and np.all(sol <= upper))
     checks = [
@@ -349,6 +349,35 @@ def run_experiment(
                                 )
                 say(f"eta={eta} budget={budget_factor}: {cfg.trials} trials done")
     return rows, cert_failures
+
+
+def cell_means_table(rows: Iterable[ResultRow]) -> list[str]:
+    """One line per (eta, budget) cell, in sweep order: the means of the
+    speedup, both violations and the relative divergence over the cell's
+    converged rows, and how many of its rows converged."""
+    cells: dict[tuple[float, float], list[ResultRow]] = {}
+    for r in rows:
+        cells.setdefault((r.eta, r.budget), []).append(r)
+    lines = [
+        f"{'eta':>6} {'budget':>7} {'speedup':>8} {'row_viol':>9} "
+        f"{'col_viol':>9} {'rel_div':>8} {'conv':>7}"
+    ]
+    for (eta, budget), cell in cells.items():
+        got = [r for r in cell if r.converged]
+        conv = f"{len(got)}/{len(cell)}"
+        if not got:
+            lines.append(f"{eta:6.2f} {budget:7.2f} {'none converged':>36} {conv:>7}")
+            continue
+        mean = {
+            name: float(np.mean([getattr(r, name) for r in got]))
+            for name in ("speedup", "row_violation", "col_violation", "rel_divergence")
+        }
+        lines.append(
+            f"{eta:6.2f} {budget:7.2f} {mean['speedup']:8.3f} "
+            f"{mean['row_violation']:9.4f} {mean['col_violation']:9.4f} "
+            f"{mean['rel_divergence']:8.4f} {conv:>7}"
+        )
+    return lines
 
 
 # ---------------------------------------------------------------------------

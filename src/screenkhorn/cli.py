@@ -16,6 +16,7 @@ from .bench import (
     DEFAULT_ETA_GRID,
     ExperimentConfig,
     _with_cost,
+    cell_means_table,
     certify_outcome,
     compare_solvers,
     load_problem,
@@ -140,7 +141,10 @@ def main():
 @_mapped_errors
 def run_cmd(n, m, eta, budget, trials, seed, normalize_cost, certify, pg_tol,
             verbose, out):
-    """Paired Sinkhorn/Screenkhorn sweep over eta x budget x trial."""
+    """Paired Sinkhorn/Screenkhorn sweep over eta x budget x trial.
+
+    Writes one CSV row per trial, then prints each cell's means over its
+    converged rows."""
     cfg = ExperimentConfig(
         n=n,
         m=m,
@@ -159,6 +163,8 @@ def run_cmd(n, m, eta, budget, trials, seed, normalize_cost, certify, pg_tol,
         progress=progress,
     )
     click.echo(f"wrote {len(rows)} rows to {cfg.output_path}")
+    for line in cell_means_table(rows):
+        click.echo(line)
     if failures:
         for row, cert in failures:
             click.echo(

@@ -140,10 +140,11 @@ def violation_certificate_rows(
                                               / (m m_b eps^2 K_min^2 min_J nu) ) ]
     """
     _require_converged(result, "row violation certificate")
-    p = result.problem
+    sr = result.screening
     bound = _violation_bound(
-        p.epsilon, p.k_min, p.n, p.m, result.budget.n_b, result.budget.m_b,
-        p.kappa, mu.weights, nu.weights, p.nu_active,
+        sr.epsilon, result.k_min, mu.size, nu.size, result.budget.n_b,
+        result.budget.m_b, sr.kappa, mu.weights, nu.weights,
+        nu.weights[sr.active_cols],
     )
     empirical = _l1_gap(result.row_marginal, mu.weights) ** 2
     return _certify("row-violation-squared", empirical, bound)
@@ -154,10 +155,11 @@ def violation_certificate_cols(
 ) -> Certificate:
     """Column analogue of violation_certificate_rows (swap sides, kappa -> 1/kappa)."""
     _require_converged(result, "column violation certificate")
-    p = result.problem
+    sr = result.screening
     bound = _violation_bound(
-        p.epsilon, p.k_min, p.m, p.n, result.budget.m_b, result.budget.n_b,
-        1.0 / p.kappa, nu.weights, mu.weights, p.mu_active,
+        sr.epsilon, result.k_min, nu.size, mu.size, result.budget.m_b,
+        result.budget.n_b, 1.0 / sr.kappa, nu.weights, mu.weights,
+        mu.weights[sr.active_rows],
     )
     empirical = _l1_gap(result.col_marginal, nu.weights) ** 2
     return _certify("col-violation-squared", empirical, bound)
@@ -199,14 +201,14 @@ def marginal_norm_certificates(
     Columns: the same with the sides swapped and kappa -> 1/kappa.
     """
     _require_converged(result, "marginal norm certificate")
-    p = result.problem
+    sr = result.screening
+    eps, kap, k_min = sr.epsilon, sr.kappa, result.k_min
+    n, m = mu.size, nu.size
     n_b, m_b = result.budget.n_b, result.budget.m_b
-    row_bound = _mass_bound(
-        p.epsilon, p.k_min, p.n, p.m, n_b, m_b, p.kappa, p.mu_active, p.nu_active
-    )
-    col_bound = _mass_bound(
-        p.epsilon, p.k_min, p.m, p.n, m_b, n_b, 1.0 / p.kappa, p.nu_active, p.mu_active
-    )
+    mu_active = mu.weights[sr.active_rows]
+    nu_active = nu.weights[sr.active_cols]
+    row_bound = _mass_bound(eps, k_min, n, m, n_b, m_b, kap, mu_active, nu_active)
+    col_bound = _mass_bound(eps, k_min, m, n, m_b, n_b, 1.0 / kap, nu_active, mu_active)
     row_emp = float(np.abs(result.row_marginal).sum())
     col_emp = float(np.abs(result.col_marginal).sum())
     return (
@@ -229,9 +231,11 @@ def gap_diagnostic(
     objective-gap analysis are unknown, so this is a diagnostic number for
     trend watching, not a certificate.
     """
-    p = result.problem
-    c_mass = min(float(p.mu_active.min()), float(p.nu_active.min()))
-    big = max(p.n, p.m)
-    scale = C.max_norm / eta + np.log(big**2 / (p.n * p.m * c_mass**3.5))
+    sr = result.screening
+    c_mass = min(
+        float(mu.weights[sr.active_rows].min()), float(nu.weights[sr.active_cols].min())
+    )
+    n, m = mu.size, nu.size
+    scale = C.max_norm / eta + np.log(max(n, m) ** 2 / (n * m * c_mass**3.5))
     row, col = marginal_violations(result, mu, nu)
     return float(scale * (row + col + omega_kappa(result)))

@@ -1,23 +1,53 @@
-"""The screened dual problem: restricted kernel block, cross-term sums, the
-additive constant, analytic objective and gradient, and the box bounds for
+"""The screened dual problem: the kernel with the screened coordinates held
+at their thresholds, analytic objective and gradient, and the box bounds for
 the reduced solve.
 
-With a = e^u on the active rows and b = e^v on the active columns, the
-objective is
+Screening holds u_i = log(alpha) off the active rows I and v_j = log(beta)
+off the active columns J, with alpha = eps/kappa and beta = eps*kappa. With
+a_hat = e^u and b_hat = e^v so filled, the kappa-scaled dual
 
-    a^T K_IJ b + eps*kappa * <a, s> + (eps/kappa) * <t, b>
-        - kappa * <mu_I, u> - (1/kappa) * <nu_J, v> + Xi
+    a_hat^T K b_hat - kappa * <mu_I, u_I> - (1/kappa) * <nu_J, v_J> + c
 
-where s_i sums K over the screened columns of row i, t_j sums K over the
-screened rows of column j, and Xi collects every term that only involves
-screened coordinates held at their thresholds. Evaluating this on (u, v)
-embedded back into full vectors (thresholds on the complements) reproduces
-the full constrained dual exactly; tests rely on that identity.
+depends on the active coordinates alone; c = -kappa log(alpha) mu(I^c)
+- log(beta) nu(J^c) / kappa collects the screened coordinates' linear terms.
+Its gradient is a_I * (K b_hat)_I - kappa mu_I on the rows and
+b_J * (K^T a_hat)_J - nu_J / kappa on the columns. Evaluating the problem on
+(u, v) embedded back into full vectors (thresholds on the complements)
+reproduces the full constrained dual exactly; tests rely on that identity.
 
-evaluate() returns the objective and its gradient together from one
-exponentiation per side and two block products, K_IJ b and K_IJ^T a, the
-first shared by the mass term and the u gradient. objective() and gradient()
-are views of it.
+A ScreenedDualProblem holds one matrix M that gives the same two products,
+the positions of the active rows and columns in M, and the fills alpha and
+beta, which a_hat and b_hat take at every other position. There are two
+layouts of M:
+
+- full: M is K itself and the positions are I and J. Nothing is gathered;
+  only k_min, the minimum of the active block K_IJ, is computed.
+- compact: M is the (|I| + 1) x (|J| + 1) matrix
+
+      [ K_IJ  s      ]
+      [ t^T   corner ]
+
+  where s_i sums K over the screened columns of active row i, t_j sums K
+  over the screened rows of active column j, and corner is the screened
+  rows' mass on the screened columns. The positions are the first |I| rows
+  and |J| columns. a_hat^T M b_hat = a^T K_IJ b + beta <a, s> + alpha <t, b>
+  + alpha beta corner is the full layout's mass term summed in another
+  order.
+
+evaluate() and restricted_sinkhorn() are written once over (M, positions,
+fills). evaluate() returns the objective and its gradient together from one
+exponentiation per side and two products, M b_hat and M^T a_hat, the first
+shared by the mass term and the u gradient. objective() and gradient() are
+views of it.
+
+build_problem() picks the layout from the active block's share of K,
+|I| |J| / (n m). The compact layout pays a gather of the block, and then
+products smaller by the share; the full layout gathers nothing, and its
+products cover all of K. In `bench run --n 1000 --m 1000 --eta 1.0
+--budget 0.5:0.99:0.05 --trials 20`, run with each layout forced in turn,
+the compact layout was the faster one up to budget 0.80 (share 0.64), the
+two were level at 0.85 (share 0.72), and the full layout was the faster one
+from 0.90 (share 0.81) on. Hence _FULL_LAYOUT_SHARE = 0.7.
 """
 
 from __future__ import annotations
@@ -36,13 +66,25 @@ from .errors import (
 )
 from .screening import Budget, ScreeningResult
 
+# the active block's share of K from which build_problem solves on K itself
+# rather than on a gathered compact block; the module docstring gives the
+# budget sweep that placed it
+_FULL_LAYOUT_SHARE = 0.7
+
 
 @dataclass(frozen=True, eq=False)
 class ScreenedDualProblem:
-    kernel_block: np.ndarray
-    row_cross: np.ndarray
-    col_cross: np.ndarray
-    xi_const: float
+    """The matrix M, the positions of the active rows and columns in it, and
+    the fills alpha = eps/kappa and beta = eps*kappa for every other
+    position; see the module docstring for the two layouts of M."""
+
+    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    row_fill: float
+    col_fill: float
+    # the screened coordinates' linear terms, c in the module docstring
+    const: float
     epsilon: float
     kappa: float
     mu_active: np.ndarray
@@ -50,8 +92,26 @@ class ScreenedDualProblem:
     k_min: float
     n: int
     m: int
-    n_active: int
-    m_active: int
+
+    @property
+    def n_active(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def m_active(self) -> int:
+        return self.cols.shape[0]
+
+    def row_vector(self, a: np.ndarray) -> np.ndarray:
+        """a_hat: a at the active rows' positions in M, row_fill elsewhere."""
+        out = np.full(self.matrix.shape[0], self.row_fill)
+        out[self.rows] = a
+        return out
+
+    def col_vector(self, b: np.ndarray) -> np.ndarray:
+        """b_hat: b at the active columns' positions in M, col_fill elsewhere."""
+        out = np.full(self.matrix.shape[1], self.col_fill)
+        out[self.cols] = b
+        return out
 
 
 @dataclass(frozen=True)
@@ -87,7 +147,9 @@ def build_problem(
     K: GibbsKernel,
     sr: ScreeningResult,
 ) -> ScreenedDualProblem:
-    """Restrict the kernel to the active sets and fold the rest into constants."""
+    """Hold the screened coordinates at their thresholds, on K itself when
+    the active block covers at least _FULL_LAYOUT_SHARE of it and on the
+    compact block otherwise."""
     n, m = _check_sizes(mu, nu, K)
     rows = sr.active_rows
     cols = sr.active_cols
@@ -95,71 +157,123 @@ def build_problem(
         raise DegenerateScreeningError("active sets must be nonempty")
     if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m:
         raise InputError(f"active indices fall outside the kernel's shape ({n}, {m})")
+    if rows.size * cols.size >= _FULL_LAYOUT_SHARE * n * m:
+        return _full_layout(mu, nu, K, sr)
+    return _compact_layout(mu, nu, K, sr)
 
-    # one sweep: each chunk of block rows is gathered with one flat take from
-    # the row-major kernel (mode="clip" writes into the block unbuffered; the
-    # indices were checked above) and summed and scanned while it sits in
-    # cache, so the block is never read again here
+
+def _full_layout(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, K: GibbsKernel, sr: ScreeningResult
+) -> ScreenedDualProblem:
+    """M = K; only k_min is computed, from the column minima over each run
+    of consecutive active rows, read in place (min is exact, so any order
+    gives the block minimum bit for bit)."""
+    rows, cols = sr.active_rows, sr.active_cols
+    km = K.entries
+    # positions in rows where a run starts, and each run's first and last row
+    starts = np.flatnonzero(np.diff(rows) != 1) + 1
+    firsts = rows[np.r_[0, starts]]
+    lasts = rows[np.r_[starts - 1, rows.size - 1]]
+    col_min = np.full(km.shape[1], np.inf)
+    for lo, hi in zip(firsts.tolist(), (lasts + 1).tolist()):
+        np.minimum(col_min, km[lo:hi].min(axis=0), out=col_min)
+    return _problem(mu, nu, K, sr, km, rows, cols, col_min[cols].min())
+
+
+def _compact_layout(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, K: GibbsKernel, sr: ScreeningResult
+) -> ScreenedDualProblem:
+    """M = [[K_IJ, s], [t^T, corner]], with the cross sums and the corner
+    taken from the cached kernel sums, so the complement blocks are never
+    read."""
+    n, m = K.shape
+    rows, cols = sr.active_rows, sr.active_cols
+    n_b, m_b = rows.size, cols.size
+    matrix = np.empty((n_b + 1, m_b + 1))
+    s = matrix[:n_b, m_b]
+    t = matrix[n_b, :m_b]
+
+    # one sweep: each chunk of M's rows is gathered with one flat take from
+    # the row-major kernel (mode="clip" writes unbuffered; the indices were
+    # checked by build_problem) and summed and scanned while it sits in
+    # cache, so the block is never read again here. The take fills whole
+    # rows of M, which are contiguous, by writing each row's entry in column
+    # cols[0] where s goes: the chunk's minimum is then read from the whole
+    # rows, and the block's row sums overwrite the stand-in
     flat = K.entries.reshape(-1)
-    block = np.empty((rows.size, cols.size))
-    block_row_sums = np.empty(rows.size)
-    block_col_sums = np.zeros(cols.size)
+    cols_ext = np.append(cols, cols[0])
+    block_col_sums = np.zeros(m_b)
     k_min = np.inf
-    for sl in _row_chunks(*block.shape):
-        chunk = block[sl]
-        flat.take(rows[sl, None] * m + cols, out=chunk, mode="clip")
-        chunk.sum(axis=1, out=block_row_sums[sl])
+    for sl in _row_chunks(n_b, m_b + 1):
+        wide = matrix[sl]
+        flat.take(rows[sl, None] * m + cols_ext, out=wide, mode="clip")
+        k_min = min(k_min, float(wide.min()))
+        chunk = wide[:, :m_b]
+        chunk.sum(axis=1, out=s[sl])
         block_col_sums += chunk.sum(axis=0)
-        k_min = min(k_min, float(chunk.min()))
 
-    # cross sums by inclusion-exclusion against the cached kernel sums, so
-    # the (possibly huge) complement blocks are never materialized; empty
-    # complements short-circuit to exact zeros
-    full_rows = rows.size == n
-    full_cols = cols.size == m
-    if full_cols:
-        s = np.zeros(rows.size)
+    # cross sums against the cached kernel sums; an empty complement gives
+    # exact zeros
+    if m_b == m:
+        s[:] = 0.0
     else:
-        s = np.maximum(K.row_sums[rows] - block_row_sums, 0.0)
-    if full_rows:
-        t = np.zeros(cols.size)
+        np.maximum(np.subtract(K.row_sums[rows], s, out=s), 0.0, out=s)
+    if n_b == n:
+        t[:] = 0.0
     else:
-        t = np.maximum(K.col_sums[cols] - block_col_sums, 0.0)
-    if full_rows or full_cols:
-        corner = 0.0
+        np.maximum(np.subtract(K.col_sums[cols], block_col_sums, out=t), 0.0, out=t)
+    # the corner by a one-sided difference, the screened columns' sums less
+    # the active rows' s, or its row twin: whichever subtracts from the
+    # smaller screened mass, whose rounding then bounds the corner's error
+    col_mass = _complement_sum(K.col_sums, cols)
+    row_mass = _complement_sum(K.row_sums, rows)
+    if col_mass <= row_mass:
+        corner = col_mass - float(s.sum())
     else:
-        corner = max(
-            float(K.row_sums.sum())
-            - float(K.row_sums[rows].sum())
-            - float(K.col_sums[cols].sum())
-            + float(block_row_sums.sum()),
-            0.0,
-        )
+        corner = row_mass - float(t.sum())
+    matrix[n_b, m_b] = max(corner, 0.0)
 
-    eps = sr.epsilon
-    kap = sr.kappa
-    mu_comp_mass = float(np.delete(mu.weights, rows).sum())
-    nu_comp_mass = float(np.delete(nu.weights, cols).sum())
-    xi_const = (
-        eps * eps * corner
-        - kap * np.log(eps / kap) * mu_comp_mass
-        - np.log(eps * kap) * nu_comp_mass / kap
+    return _problem(
+        mu, nu, K, sr, matrix, np.arange(n_b), np.arange(m_b), k_min
     )
 
+
+def _complement_sum(x: np.ndarray, idx: np.ndarray) -> float:
+    """The sum of x off the indices idx."""
+    return float(np.delete(x, idx).sum())
+
+
+def _problem(
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    K: GibbsKernel,
+    sr: ScreeningResult,
+    matrix: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    k_min: float,
+) -> ScreenedDualProblem:
+    eps = sr.epsilon
+    kap = sr.kappa
+    const = (
+        -kap * np.log(eps / kap) * _complement_sum(mu.weights, sr.active_rows)
+        - np.log(eps * kap) * _complement_sum(nu.weights, sr.active_cols) / kap
+    )
+    n, m = K.shape
     return ScreenedDualProblem(
-        kernel_block=block,
-        row_cross=s,
-        col_cross=t,
-        xi_const=float(xi_const),
+        matrix=matrix,
+        rows=rows,
+        cols=cols,
+        row_fill=eps / kap,
+        col_fill=eps * kap,
+        const=float(const),
         epsilon=eps,
         kappa=kap,
-        mu_active=mu.weights[rows],
-        nu_active=nu.weights[cols],
-        k_min=k_min,
+        mu_active=mu.weights[sr.active_rows],
+        nu_active=nu.weights[sr.active_cols],
+        k_min=float(k_min),
         n=n,
         m=m,
-        n_active=rows.size,
-        m_active=cols.size,
     )
 
 
@@ -176,9 +290,9 @@ def evaluate(
 ) -> tuple[float, np.ndarray]:
     """The objective and its stacked gradient (d/du, d/dv) at one point.
 
-    Each side is exponentiated once, and the block is read by two products:
-    K_IJ b serves both the objective's mass term a^T K_IJ b and the u
-    gradient, and K_IJ^T a serves the v gradient.
+    Each side is exponentiated once, and M is read by two products: M b_hat
+    serves both the objective's mass term a_hat^T M b_hat and the u
+    gradient, and M^T a_hat serves the v gradient.
     """
     u = np.asarray(u_active, dtype=np.float64)
     v = np.asarray(v_active, dtype=np.float64)
@@ -186,21 +300,19 @@ def evaluate(
     with np.errstate(over="ignore"):
         a = np.exp(u)
         b = np.exp(v)
-        kb = p.kernel_block @ b
+        a_hat = p.row_vector(a)
+        mb = p.matrix @ p.col_vector(b)
         value = (
-            a @ kb
-            + p.epsilon * p.kappa * (a @ p.row_cross)
-            + (p.epsilon / p.kappa) * (p.col_cross @ b)
+            a_hat @ mb
             - p.kappa * (p.mu_active @ u)
             - (p.nu_active @ v) / p.kappa
-            + p.xi_const
+            + p.const
         )
         if not np.isfinite(value):
             raise NumericRangeError("screened objective overflows at this point")
         grad = np.concatenate([
-            a * (kb + p.epsilon * p.kappa * p.row_cross) - p.kappa * p.mu_active,
-            b * (p.kernel_block.T @ a + (p.epsilon / p.kappa) * p.col_cross)
-            - p.nu_active / p.kappa,
+            a * mb[p.rows] - p.kappa * p.mu_active,
+            b * (a_hat @ p.matrix)[p.cols] - p.nu_active / p.kappa,
         ])
     if not np.all(np.isfinite(grad)):
         raise NumericRangeError("screened gradient overflows at this point")

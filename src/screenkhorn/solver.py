@@ -110,7 +110,8 @@ def restricted_sinkhorn(
     b0: np.ndarray,
     iters: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A few scaling sweeps on the active block, cross terms folded in.
+    """A few scaling sweeps on the active coordinates, the screened ones held
+    at their fills in M's products.
 
     Used to warm start the reduced solve. The output generally violates the
     lower bound constraints, so callers clamp it into the box afterwards.
@@ -127,12 +128,10 @@ def restricted_sinkhorn(
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise InputError("initial scaling vectors must be strictly positive")
 
-    f_u_bar = p.epsilon * p.kappa * p.row_cross
-    f_v_bar = (p.epsilon / p.kappa) * p.col_cross
     for _ in range(iters):
-        f_v = p.kernel_block.T @ a + f_v_bar
+        f_v = (p.row_vector(a) @ p.matrix)[p.cols]
         b = p.nu_active / (p.kappa * f_v)
-        f_u = p.kernel_block @ b + f_u_bar
+        f_u = (p.matrix @ p.col_vector(b))[p.rows]
         a = p.kappa * p.mu_active / f_u
     return a, b
 

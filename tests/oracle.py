@@ -1,10 +1,13 @@
 """Ground truth for the reduced solve: an independent projected gradient
 method that the tests compare minimize() against, and the screened objective
-and gradient summed from the dense plan. Neither shares code with the
-quasi-Newton path.
+and gradient summed from dense plans, once from a compact-layout problem's
+own block and cross sums and once from the whole kernel. None of them shares
+code with the quasi-Newton path or with evaluate().
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,23 +20,61 @@ def screened_value_and_gradient(
     p: ScreenedDualProblem, u: np.ndarray, v: np.ndarray
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The screened objective and its stacked gradient, each with the sum of
-    the absolute values of its terms, from the dense active plan
-    P = diag(e^u) K_IJ diag(e^v): the mass term is the total of P and the
-    gradients carry its row and column sums."""
+    the absolute values of its terms, for a compact-layout problem: from the
+    dense active plan P = diag(e^u) K_IJ diag(e^v), whose total is the mass
+    term and whose row and column sums the gradients carry, plus the cross
+    sums and the corner in M's last column and row."""
     a, b = np.exp(u), np.exp(v)
-    plan = a[:, None] * p.kernel_block * b[None, :]
-    row_cross = p.epsilon * p.kappa * a * p.row_cross
-    col_cross = (p.epsilon / p.kappa) * b * p.col_cross
+    block, s, t = p.matrix[:-1, :-1], p.matrix[:-1, -1], p.matrix[-1, :-1]
+    plan = a[:, None] * block * b[None, :]
+    row_cross = p.epsilon * p.kappa * a * s
+    col_cross = (p.epsilon / p.kappa) * b * t
     terms = [
         plan.sum(),
         row_cross.sum(),
         col_cross.sum(),
         -p.kappa * float(np.dot(p.mu_active, u)),
         -float(np.dot(p.nu_active, v)) / p.kappa,
-        p.xi_const,
+        p.epsilon * p.epsilon * p.matrix[-1, -1],
+        p.const,
     ]
     row_terms = [plan.sum(axis=1), row_cross, -p.kappa * p.mu_active]
     col_terms = [plan.sum(axis=0), col_cross, -p.nu_active / p.kappa]
+    return _summed(terms, row_terms, col_terms)
+
+
+def full_plan_value_and_gradient(mu, nu, K, sr, u, v):
+    """The same from the whole plan diag(a_hat) K diag(b_hat), where a_hat
+    and b_hat hold e^u and e^v on the active sets of the ScreeningResult sr
+    and the thresholds eps/kappa and eps*kappa elsewhere, so it reads no
+    problem at all: its mass term is the plan's total, its gradients the
+    plan's row and column sums on the active sets."""
+    eps, kap = sr.epsilon, sr.kappa
+    rows, cols = sr.active_rows, sr.active_cols
+    a_hat = np.full(mu.size, eps / kap)
+    a_hat[rows] = np.exp(u)
+    b_hat = np.full(nu.size, eps * kap)
+    b_hat[cols] = np.exp(v)
+    plan = a_hat[:, None] * K.entries * b_hat[None, :]
+    mu_active, nu_active = mu.weights[rows], nu.weights[cols]
+    terms = [
+        plan.sum(),
+        -kap * float(np.dot(mu_active, u)),
+        -float(np.dot(nu_active, v)) / kap,
+        -kap * math.log(eps / kap) * float(mu.weights[_others(mu.size, rows)].sum()),
+        -math.log(eps * kap) * float(nu.weights[_others(nu.size, cols)].sum()) / kap,
+    ]
+    row_terms = [plan.sum(axis=1)[rows], -kap * mu_active]
+    col_terms = [plan.sum(axis=0)[cols], -nu_active / kap]
+    return _summed(terms, row_terms, col_terms)
+
+
+def _others(size, active):
+    """The indices below size that are not in active."""
+    return np.setdiff1d(np.arange(size), active)
+
+
+def _summed(terms, row_terms, col_terms):
     grad = np.concatenate([sum(row_terms), sum(col_terms)])
     grad_scale = np.concatenate([
         sum(np.abs(t) for t in row_terms), sum(np.abs(t) for t in col_terms)

@@ -214,7 +214,7 @@ def test_criterion_4_box_containment(random_runs):
     violations = 0
     for result in converged:
         lower, upper = result.bounds.stacked(
-            result.problem.n_active, result.problem.m_active
+            result.screening.n_active, result.screening.m_active
         )
         x = result.solver_report.solution
         # exact closed-box check, no tolerance: the bounds are inclusive and
@@ -237,13 +237,13 @@ def test_criterion_5_kkt_marginals(random_runs):
     for mu, nu, result in random_runs:
         if not result.solver_report.converged:
             continue
-        p = result.problem
-        kap = p.kappa
-        lower, upper = result.bounds.stacked(p.n_active, p.m_active)
+        sr = result.screening
+        kap = sr.kappa
+        lower, upper = result.bounds.stacked(sr.n_active, sr.m_active)
         x = result.solver_report.solution
         interior = (x - lower > INTERIOR_MARGIN) & (upper - x > INTERIOR_MARGIN)
-        rows = result.screening.active_rows
-        cols = result.screening.active_cols
+        rows = sr.active_rows
+        cols = sr.active_cols
         for pos, i in enumerate(rows):
             if not interior[pos]:
                 continue
@@ -255,7 +255,7 @@ def test_criterion_5_kkt_marginals(random_runs):
             if gap > tol:
                 violations += 1
         for pos, j in enumerate(cols):
-            if not interior[p.n_active + pos]:
+            if not interior[sr.n_active + pos]:
                 continue
             target = nu.weights[j] / kap
             gap = abs(result.col_marginal[j] - target)

@@ -216,6 +216,34 @@ class TestRunCommand:
         assert lines[0] == ",".join(RESULT_COLUMNS)
         assert len(lines) == 3
 
+    def test_prints_cell_means(self, runner, tmp_path):
+        out = str(tmp_path / "sweep.csv")
+        result = runner.invoke(
+            main,
+            ["run", "--n", "10", "--m", "10", "--eta", "1.0,0.5",
+             "--budget", "0.4,0.8", "--trials", "2", "--seed", "3", "--out", out],
+        )
+        assert result.exit_code == 0, result.output
+        lines = result.output.strip().split("\n")
+        header = lines.index(
+            f"{'eta':>6} {'budget':>7} {'speedup':>8} {'row_viol':>9} "
+            f"{'col_viol':>9} {'rel_div':>8} {'conv':>7}"
+        )
+        cells = [line.split() for line in lines[header + 1 :]]
+        assert [c[:2] for c in cells] == [
+            ["1.00", "0.40"], ["1.00", "0.80"], ["0.50", "0.40"], ["0.50", "0.80"]
+        ]
+        rows = [r.split(",") for r in open(out).read().strip().split("\n")[1:]]
+        col = RESULT_COLUMNS.index
+        for (eta, budget, *means, conv), first in zip(cells, range(0, 8, 2)):
+            pair = rows[first : first + 2]
+            assert conv == f"{sum(r[col('converged')] == 'true' for r in pair)}/2"
+            for value, name in zip(
+                means, ("speedup", "row_violation", "col_violation", "rel_divergence")
+            ):
+                want = np.mean([float(r[col(name)]) for r in pair])
+                assert float(value) == pytest.approx(want, abs=6e-4 * max(1.0, abs(want)))
+
     def test_budget_range_spec(self, runner, tmp_path):
         out = str(tmp_path / "sweep.csv")
         result = runner.invoke(

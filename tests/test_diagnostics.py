@@ -289,11 +289,11 @@ class TestOracleSolve:
     @pytest.mark.parametrize("seed, n, m, n_b, m_b", [(0, 6, 5, 3, 3), (7, 8, 8, 4, 5)])
     def test_matches_quasi_newton_objective(self, seed, n, m, n_b, m_b):
         mu, nu, result = solved(seed, n, m, n_b, m_b, pg_tolerance=1e-9)
-        lower, upper = result.bounds.stacked(result.problem.n_active, result.problem.m_active)
-        x = oracle_solve(result.problem, lower, upper, tol=1e-10)
-        oracle_value = objective(
-            result.problem, x[: result.problem.n_active], x[result.problem.n_active :]
-        )
+        _, _, _, K = random_instance(seed, n, m)
+        problem = build_problem(mu, nu, K, result.screening)
+        lower, upper = result.bounds.stacked(problem.n_active, problem.m_active)
+        x = oracle_solve(problem, lower, upper, tol=1e-10)
+        oracle_value = objective(problem, x[: problem.n_active], x[problem.n_active :])
         assert abs(result.solver_report.objective_value - oracle_value) < 1e-6
 
     def test_refuses_large_problems(self):

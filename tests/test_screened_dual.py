@@ -18,14 +18,30 @@ from screenkhorn import (
     active_sets,
     box_bounds,
     build_problem,
+    decimation_to_budget,
     dual_objective,
     epsilon_kappa,
     ratio_vectors,
+    screenkhorn,
     sinkhorn,
 )
-from screenkhorn.screened import evaluate, gradient, objective
+from screenkhorn import algorithm
+from screenkhorn.core import _CHUNK_ENTRIES
+from screenkhorn.solver import restricted_sinkhorn
+from screenkhorn.screened import (
+    _FULL_LAYOUT_SHARE,
+    _compact_layout,
+    _full_layout,
+    evaluate,
+    gradient,
+    objective,
+)
 from conftest import random_instance, symmetric_instance
-from oracle import screened_value_and_gradient
+from test_core import CHUNK_SHAPES
+from oracle import full_plan_value_and_gradient, screened_value_and_gradient
+
+# the private builders force a layout; build_problem picks one by share
+LAYOUTS = (_compact_layout, _full_layout)
 
 
 def forced_screening(eps, kap, rows, cols):
@@ -35,12 +51,20 @@ def forced_screening(eps, kap, rows, cols):
     return ScreeningResult(float(eps), float(kap), rows, cols)
 
 
-def screened_problem(seed, n, m, n_b, m_b, eta=1.0):
+def screened_problem(seed, n, m, n_b, m_b, eta=1.0, layout=build_problem):
     mu, nu, _, K = random_instance(seed, n, m, eta)
     xi, zeta = ratio_vectors(mu, nu, K)
     eps, kap = epsilon_kappa(xi, zeta, Budget(n_b, m_b))
     sr = active_sets(mu, nu, K, eps, kap)
-    return mu, nu, K, sr, build_problem(mu, nu, K, sr)
+    return mu, nu, K, sr, layout(mu, nu, K, sr)
+
+
+def compact_parts(p):
+    """A compact-layout problem's block K_IJ, cross sums s and t, and the
+    constant of every term held at the thresholds: the corner's mass term
+    plus the screened coordinates' linear terms."""
+    xi = p.row_fill * p.col_fill * p.matrix[-1, -1] + p.const
+    return p.matrix[:-1, :-1], p.matrix[:-1, -1], p.matrix[-1, :-1], xi
 
 
 def full_matrix_objective(K, mu, nu, eps, kap, rows, cols, u_act, v_act):
@@ -96,18 +120,20 @@ def fd_gradient(p, u, v, h=1e-6):
 
 class TestBuildProblem:
     def test_full_budget_constants_vanish(self):
-        _, _, _, _, p = screened_problem(3, 5, 4, 5, 4)
-        assert np.all(p.row_cross == 0.0)
-        assert np.all(p.col_cross == 0.0)
-        assert p.xi_const == 0.0
+        _, _, _, _, p = screened_problem(3, 5, 4, 5, 4, layout=_compact_layout)
+        _, row_cross, col_cross, xi_const = compact_parts(p)
+        assert np.all(row_cross == 0.0)
+        assert np.all(col_cross == 0.0)
+        assert xi_const == 0.0
 
     def test_single_active_corner(self):
         mu = DiscreteMeasure(np.array([0.5, 0.5]))
         K = GibbsKernel(np.ones((2, 2)), 1.0)
-        p = build_problem(mu, mu, K, forced_screening(1.0, 1.0, [0], [0]))
-        np.testing.assert_allclose(p.row_cross, [1.0])
-        np.testing.assert_allclose(p.col_cross, [1.0])
-        assert p.xi_const == pytest.approx(1.0, rel=1e-15)
+        p = _compact_layout(mu, mu, K, forced_screening(1.0, 1.0, [0], [0]))
+        _, row_cross, col_cross, xi_const = compact_parts(p)
+        np.testing.assert_allclose(row_cross, [1.0])
+        np.testing.assert_allclose(col_cross, [1.0])
+        assert xi_const == pytest.approx(1.0, rel=1e-15)
         assert p.k_min == 1.0
 
     @given(
@@ -116,18 +142,19 @@ class TestBuildProblem:
         m_b=st.integers(min_value=1, max_value=6),
     )
     def test_constants_match_naive_loops(self, seed, n_b, m_b):
-        mu, nu, K, sr, p = screened_problem(seed, 6, 6, n_b, m_b)
+        mu, nu, K, sr, p = screened_problem(seed, 6, 6, n_b, m_b, layout=_compact_layout)
         s, t, const = naive_constants(
             K, mu, nu, sr.epsilon, sr.kappa, sr.active_rows, sr.active_cols
         )
-        np.testing.assert_allclose(p.row_cross, s, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(p.col_cross, t, rtol=1e-12, atol=1e-15)
-        assert p.xi_const == pytest.approx(const, rel=1e-12, abs=1e-15)
+        _, row_cross, col_cross, xi_const = compact_parts(p)
+        np.testing.assert_allclose(row_cross, s, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(col_cross, t, rtol=1e-12, atol=1e-15)
+        assert xi_const == pytest.approx(const, rel=1e-12, abs=1e-15)
 
     def test_kernel_block_and_extremes(self):
-        mu, nu, K, sr, p = screened_problem(8, 6, 5, 3, 2)
+        mu, nu, K, sr, p = screened_problem(8, 6, 5, 3, 2, layout=_compact_layout)
         block = K.entries[np.ix_(sr.active_rows, sr.active_cols)]
-        np.testing.assert_array_equal(p.kernel_block, block)
+        np.testing.assert_array_equal(compact_parts(p)[0], block)
         assert p.k_min == block.min()
 
 
@@ -190,10 +217,11 @@ class TestBlockSweep:
     @pytest.mark.parametrize("eps, kap", [(1.0, 1.0), (0.3, 1.7)])
     def test_matches_ix_gather(self, n, m, n_act, m_act, eps, kap):
         mu, nu, K, sr = self.instance(n + m, n, m, n_act, m_act, eps, kap)
-        p = build_problem(mu, nu, K, sr)
+        p = _compact_layout(mu, nu, K, sr)
         block, s, t, xi = ix_reference(mu, nu, K, sr)
-        np.testing.assert_array_equal(p.kernel_block, block)
-        np.testing.assert_array_equal(p.row_cross, s)
+        p_block, row_cross, col_cross, xi_const = compact_parts(p)
+        np.testing.assert_array_equal(p_block, block)
+        np.testing.assert_array_equal(row_cross, s)
         np.testing.assert_array_equal(p.mu_active, mu.weights[sr.active_rows])
         np.testing.assert_array_equal(p.nu_active, nu.weights[sr.active_cols])
         assert p.k_min == block.min()
@@ -201,13 +229,39 @@ class TestBlockSweep:
         # and the corner may differ in the last bits of the kernel sums they
         # are subtracted from; the constant's mass terms are unchanged
         cancelled = K.col_sums[sr.active_cols]
-        assert np.all(np.abs(p.col_cross - t) <= 1e-14 * cancelled)
+        assert np.all(np.abs(col_cross - t) <= 1e-14 * cancelled)
         total = K.row_sums.sum()
-        assert abs(p.xi_const - xi) <= 1e-14 * (abs(xi) + eps * eps * total)
+        assert abs(xi_const - xi) <= 1e-14 * (abs(xi) + eps * eps * total)
         if n_act == n:
-            assert np.all(p.col_cross == 0.0)
+            assert np.all(col_cross == 0.0)
         if m_act == m:
-            assert np.all(p.row_cross == 0.0)
+            assert np.all(row_cross == 0.0)
+
+    @pytest.mark.parametrize(
+        "n, m, n_act, m_act",
+        [
+            (1000, 1000, 999, 1),  # one screened row: the row twin
+            (1000, 1000, 1, 999),  # one screened column: the column form
+            (1000, 1000, 999, 3),
+            (300, 300, 299, 299),  # a corner of one entry
+            (4, 70_000, 3, 69_990),
+        ],
+    )
+    def test_corner_matches_direct_sum(self, n, m, n_act, m_act):
+        # eps = kap = 1 puts the corner in M unscaled. It is a one-sided
+        # difference, so its rounding scales with the operands of the form
+        # that build_problem picks: the screened mass it subtracts from, and
+        # the kernel sums its subtracted cross sums were cancelled from
+        mu, nu, K, sr = self.instance(n + m + n_act, n, m, n_act, m_act, 1.0, 1.0)
+        corner = _compact_layout(mu, nu, K, sr).matrix[-1, -1]
+        screened_rows = np.setdiff1d(np.arange(n), sr.active_rows)
+        screened_cols = np.setdiff1d(np.arange(m), sr.active_cols)
+        direct = K.entries[np.ix_(screened_rows, screened_cols)].sum()
+        operands = min(
+            K.col_sums[screened_cols].sum() + K.row_sums[sr.active_rows].sum(),
+            K.row_sums[screened_rows].sum() + K.col_sums[sr.active_cols].sum(),
+        )
+        assert abs(corner - direct) <= 1e-14 * operands
 
     @pytest.mark.parametrize(
         "rows, cols",
@@ -217,6 +271,81 @@ class TestBlockSweep:
         mu, nu, K, _ = self.instance(0, 6, 5, 1, 1, 1.0, 1.0)
         with pytest.raises(InputError, match="outside the kernel"):
             build_problem(mu, nu, K, forced_screening(1.0, 1.0, rows, cols))
+
+
+# (n, m): a scalar problem, a small one, and test_core.py's chunk shapes
+LAYOUT_SHAPES = [(1, 1), (30, 20), *CHUNK_SHAPES]
+LAYOUT_BUDGETS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+
+
+class TestLayouts:
+    """One instance through both private builders: the full layout solves on
+    K itself, the compact one on the gathered block with the cross sums."""
+
+    @staticmethod
+    def instance(n, m, factor):
+        mu, nu, C, K = random_instance(n + 7 * m, n, m)
+        n_b, m_b = decimation_to_budget(n, m, factor)
+        xi, zeta = ratio_vectors(mu, nu, K)
+        eps, kap = epsilon_kappa(xi, zeta, Budget(n_b, m_b))
+        return mu, nu, C, K, active_sets(mu, nu, K, eps, kap), (n_b, m_b)
+
+    @pytest.mark.parametrize("factor", LAYOUT_BUDGETS)
+    @pytest.mark.parametrize("n, m", LAYOUT_SHAPES)
+    def test_evaluate_k_min_and_warm_start_agree(self, n, m, factor):
+        mu, nu, _, K, sr, _ = self.instance(n, m, factor)
+        compact = _compact_layout(mu, nu, K, sr)
+        full = _full_layout(mu, nu, K, sr)
+        assert full.matrix is K.entries
+        assert compact.k_min == full.k_min
+        u, v = off_threshold_point(sr, compact)
+        f_c, g_c = evaluate(compact, u, v)
+        f_f, g_f = evaluate(full, u, v)
+        _, f_scale, _, g_scale = full_plan_value_and_gradient(mu, nu, K, sr, u, v)
+        assert abs(f_c - f_f) <= 1e-13 * f_scale
+        assert np.all(np.abs(g_c - g_f) <= 1e-13 * g_scale)
+        a0 = np.full(sr.n_active, sr.epsilon / sr.kappa)
+        b0 = np.full(sr.m_active, sr.epsilon * sr.kappa)
+        a_c, b_c = restricted_sinkhorn(compact, a0, b0, 3)
+        a_f, b_f = restricted_sinkhorn(full, a0, b0, 3)
+        np.testing.assert_allclose(a_c, a_f, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(b_c, b_f, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("factor", LAYOUT_BUDGETS)
+    @pytest.mark.parametrize("n, m", LAYOUT_SHAPES)
+    def test_screenkhorn_agrees(self, n, m, factor, monkeypatch):
+        mu, nu, C, _, _, (n_b, m_b) = self.instance(n, m, factor)
+        results = []
+        for layout in LAYOUTS:
+            monkeypatch.setattr(algorithm, "build_problem", layout)
+            results.append(screenkhorn(C, 1.0, mu, nu, n_b, m_b, materialize_plan=False))
+        compact, full = results
+        assert compact.k_min == full.k_min
+        assert compact.solver_report.converged and full.solver_report.converged
+        assert compact.solver_report.iterations == full.solver_report.iterations
+        assert compact.solver_report.evaluations == full.solver_report.evaluations
+        # on the widest shape each of the 65 539 column weights is about
+        # 1.5e-5, so pg_tolerance 1e-6 pins each v only to some percent; the
+        # two layouts' roundings move L-BFGS-B's path apart inside that
+        # slack (6e-5 relative at budget 0.5), with the same iteration count
+        rtol = 1e-3 if m > _CHUNK_ENTRIES else 1e-12
+        np.testing.assert_allclose(compact.potentials.u, full.potentials.u, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(compact.potentials.v, full.potentials.v, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("factor, on_k", [(0.99, True), (0.1, False)])
+    def test_selection_by_share(self, factor, on_k):
+        # the full-budget benchmark's shape: 990 x 990 of 1000 x 1000 is a
+        # share of 0.98; at budget 0.1 the share is 0.01
+        n_b, m_b = decimation_to_budget(1000, 1000, factor)
+        mu = DiscreteMeasure(np.ones(1000))
+        K = GibbsKernel(np.full((1000, 1000), 0.5), 1.0)
+        sr = forced_screening(1.0, 1.0, np.arange(n_b), np.arange(m_b))
+        assert (n_b * m_b >= _FULL_LAYOUT_SHARE * 1000 * 1000) == on_k
+        p = build_problem(mu, mu, K, sr)
+        if on_k:
+            assert p.matrix is K.entries
+        else:
+            assert p.matrix.shape == (n_b + 1, m_b + 1)
 
 
 class TestObjective:
@@ -239,31 +368,33 @@ class TestObjective:
         m_b=st.integers(min_value=1, max_value=4),
     )
     def test_matches_full_matrix_evaluation(self, seed, n_b, m_b):
-        mu, nu, K, sr, p = screened_problem(seed, 5, 4, n_b, m_b)
-        u = math.log(sr.epsilon / sr.kappa) + 0.3 * np.sin(
-            np.arange(float(p.n_active))
-        )
-        v = math.log(sr.epsilon * sr.kappa) + 0.2 * np.cos(
-            np.arange(float(p.m_active))
-        )
-        reduced = objective(p, u, v) - p.xi_const
-        full = full_matrix_objective(
-            K, mu, nu, sr.epsilon, sr.kappa, sr.active_rows, sr.active_cols, u, v
-        )
-        # the reduced objective drops the constant that full evaluation keeps:
-        # reconcile by comparing both with the all-threshold baseline removed
-        base_u = np.full(p.n_active, math.log(sr.epsilon / sr.kappa))
-        base_v = np.full(p.m_active, math.log(sr.epsilon * sr.kappa))
-        reduced_base = objective(p, base_u, base_v) - p.xi_const
-        full_base = full_matrix_objective(
-            K, mu, nu, sr.epsilon, sr.kappa, sr.active_rows, sr.active_cols,
-            base_u, base_v,
-        )
-        assert reduced - reduced_base == pytest.approx(
-            full - full_base, rel=1e-11, abs=1e-12
-        )
-        # and with the constant included the values agree outright
-        assert objective(p, u, v) == pytest.approx(full, rel=1e-11, abs=1e-12)
+        for layout in LAYOUTS:
+            mu, nu, K, sr, p = screened_problem(seed, 5, 4, n_b, m_b, layout=layout)
+            u = math.log(sr.epsilon / sr.kappa) + 0.3 * np.sin(
+                np.arange(float(p.n_active))
+            )
+            v = math.log(sr.epsilon * sr.kappa) + 0.2 * np.cos(
+                np.arange(float(p.m_active))
+            )
+            reduced = objective(p, u, v) - p.const
+            full = full_matrix_objective(
+                K, mu, nu, sr.epsilon, sr.kappa, sr.active_rows, sr.active_cols, u, v
+            )
+            # the reduced objective drops the constant that full evaluation
+            # keeps: reconcile by comparing both with the all-threshold
+            # baseline removed
+            base_u = np.full(p.n_active, math.log(sr.epsilon / sr.kappa))
+            base_v = np.full(p.m_active, math.log(sr.epsilon * sr.kappa))
+            reduced_base = objective(p, base_u, base_v) - p.const
+            full_base = full_matrix_objective(
+                K, mu, nu, sr.epsilon, sr.kappa, sr.active_rows, sr.active_cols,
+                base_u, base_v,
+            )
+            assert reduced - reduced_base == pytest.approx(
+                full - full_base, rel=1e-11, abs=1e-12
+            )
+            # and with the constant included the values agree outright
+            assert objective(p, u, v) == pytest.approx(full, rel=1e-11, abs=1e-12)
 
     def test_scalar_problem(self):
         one = DiscreteMeasure(np.array([1.0]))
@@ -334,38 +465,47 @@ class TestEvaluate:
         eta=st.sampled_from([0.5, 1.0, 2.0]),
     )
     def test_matches_dense_plan_oracle(self, seed, n_b, m_b, eta):
-        _, _, _, sr, p = screened_problem(seed, 40, 30, n_b, m_b, eta)
+        mu, nu, K, sr, p = screened_problem(seed, 40, 30, n_b, m_b, eta, _compact_layout)
         u, v = off_threshold_point(sr, p)
         f, g = evaluate(p, u, v)
         want_f, f_scale, want_g, g_scale = screened_value_and_gradient(p, u, v)
         assert abs(f - want_f) <= 1e-14 * f_scale
         assert np.all(np.abs(g - want_g) <= 1e-14 * g_scale)
+        # both layouts against the plan over the whole kernel
+        want_f, f_scale, want_g, g_scale = full_plan_value_and_gradient(mu, nu, K, sr, u, v)
+        for layout in LAYOUTS:
+            f, g = evaluate(layout(mu, nu, K, sr), u, v)
+            assert abs(f - want_f) <= 1e-14 * f_scale
+            assert np.all(np.abs(g - want_g) <= 1e-14 * g_scale)
 
     @pytest.mark.parametrize("n_b, m_b", [(20, 15), (40, 30), (1, 1)])
     def test_views_and_separate_formulas_agree_bitwise(self, n_b, m_b):
         # objective() and gradient() are views of evaluate(), and all three
         # equal the separate objective and gradient formulas bit for bit
-        _, _, _, sr, p = screened_problem(4, 40, 30, n_b, m_b)
-        u, v = off_threshold_point(sr, p)
-        a, b = np.exp(u), np.exp(v)
-        eps, kap = p.epsilon, p.kappa
-        value = (
-            a @ (p.kernel_block @ b)
-            + eps * kap * (a @ p.row_cross)
-            + (eps / kap) * (p.col_cross @ b)
-            - kap * (p.mu_active @ u)
-            - (p.nu_active @ v) / kap
-            + p.xi_const
-        )
-        grad_u = a * (p.kernel_block @ b + eps * kap * p.row_cross) - kap * p.mu_active
-        grad_v = b * (p.kernel_block.T @ a + (eps / kap) * p.col_cross) - p.nu_active / kap
-        f, g = evaluate(p, u, v)
-        assert f == value
-        np.testing.assert_array_equal(g, np.concatenate([grad_u, grad_v]))
-        assert objective(p, u, v) == value
-        gu, gv = gradient(p, u, v)
-        np.testing.assert_array_equal(gu, grad_u)
-        np.testing.assert_array_equal(gv, grad_v)
+        for layout in LAYOUTS:
+            _, _, _, sr, p = screened_problem(4, 40, 30, n_b, m_b, layout=layout)
+            u, v = off_threshold_point(sr, p)
+            a, b = np.exp(u), np.exp(v)
+            kap = p.kappa
+            a_hat = np.full(p.matrix.shape[0], p.row_fill)
+            a_hat[p.rows] = a
+            b_hat = np.full(p.matrix.shape[1], p.col_fill)
+            b_hat[p.cols] = b
+            value = (
+                a_hat @ (p.matrix @ b_hat)
+                - kap * (p.mu_active @ u)
+                - (p.nu_active @ v) / kap
+                + p.const
+            )
+            grad_u = a * (p.matrix @ b_hat)[p.rows] - kap * p.mu_active
+            grad_v = b * (a_hat @ p.matrix)[p.cols] - p.nu_active / kap
+            f, g = evaluate(p, u, v)
+            assert f == value
+            np.testing.assert_array_equal(g, np.concatenate([grad_u, grad_v]))
+            assert objective(p, u, v) == value
+            gu, gv = gradient(p, u, v)
+            np.testing.assert_array_equal(gu, grad_u)
+            np.testing.assert_array_equal(gv, grad_v)
 
     def test_overflow_named(self):
         _, _, _, _, p = screened_problem(2, 5, 4, 3, 3)

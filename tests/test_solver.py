@@ -564,21 +564,22 @@ class TestRestrictedSinkhorn:
         a3, b3 = restricted_sinkhorn(p, np.full(2, eps), np.full(2, eps), iters=3)
         np.testing.assert_allclose(a3, a, rtol=1e-15)
         np.testing.assert_allclose(b3, b, rtol=1e-15)
-        plan = a[:, None] * p.kernel_block * b[None, :]
+        plan = a[:, None] * p.matrix[np.ix_(p.rows, p.cols)] * b[None, :]
         np.testing.assert_allclose(plan, 0.25, rtol=1e-15)
 
     def test_full_budget_matches_plain_half_sweeps(self):
-        # with empty complements the cross terms vanish and each sweep is a
-        # textbook scaling update on the whole kernel
+        # with empty complements no position of M holds a fill and each sweep
+        # is a textbook scaling update on the whole kernel
         p, _ = screened_setup(5, 6, 5, 6, 5)
-        assert np.all(p.row_cross == 0.0) and np.all(p.col_cross == 0.0)
+        assert p.matrix.shape == (p.n_active, p.m_active)
+        kernel_block = p.matrix[np.ix_(p.rows, p.cols)]
         a0 = np.full(p.n_active, 0.7)
         b0 = np.full(p.m_active, 1.3)
         a, b = restricted_sinkhorn(p, a0, b0, iters=3)
         ar, br = a0.copy(), b0.copy()
         for _ in range(3):
-            br = p.nu_active / (p.kappa * (p.kernel_block.T @ ar))
-            ar = p.kappa * p.mu_active / (p.kernel_block @ br)
+            br = p.nu_active / (p.kappa * (kernel_block.T @ ar))
+            ar = p.kappa * p.mu_active / (kernel_block @ br)
         np.testing.assert_allclose(a, ar, rtol=1e-15)
         np.testing.assert_allclose(b, br, rtol=1e-15)
 
