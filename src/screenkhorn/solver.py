@@ -18,20 +18,63 @@ the routine's status. `evaluations` counts distinct evaluated points.
 The f-decrease stopping test is disabled (factr=0) so the only live stopping
 criteria are the projected-gradient tolerance and the two caps.
 
-setulb is a private SciPy entry point; its argument list is pinned by a test
+setulb is the one thing this package takes from SciPy. It lives in the
+compiled extension scipy/optimize/_lbfgsb, a private SciPy module, and
+importing it by name first imports the scipy.optimize package, which pulls
+in scipy.linalg, scipy.sparse and their libraries: on a 2-core x86-64 host
+with SciPy 1.17, about 0.65 s and 47 MB of resident memory that every
+process importing screenkhorn would pay for one routine. So
+_load_lbfgsb loads that extension file alone, under its own name, from the
+optimize folder of the installed SciPy, and scipy.optimize is never
+imported. It is the same compiled routine, so the iterates are bitwise those
+of SciPy's fmin_l_bfgs_b. Its argument list is pinned by a test
 (tests/test_solver.py) against the SciPy versions pyproject.toml admits.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 
 from .errors import InputError, ParameterError, ShapeError
 from .screened import ScreenedDualProblem
+
+
+def _load_lbfgsb(optimize_dir: Path) -> ModuleType:
+    """SciPy's compiled L-BFGS-B module, loaded from its file in optimize_dir
+    without importing the package around it."""
+    name = "scipy.optimize._lbfgsb"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = optimize_dir / f"_lbfgsb{suffix}"
+        if not path.is_file():
+            continue
+        spec = importlib.util.spec_from_file_location(name, path)
+        held = sys.modules.get(name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # a single-phase extension, as this one is, enters itself in
+        # sys.modules when it is created; restore the entry, so that
+        # scipy.optimize, imported before or after, keeps its own import of
+        # the module and binds it on the package
+        if held is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = held
+        return module
+    raise ImportError(f"no compiled _lbfgsb module in {optimize_dir}")
+
+
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ImportError("screenkhorn needs SciPy, which is not installed")
+setulb = _load_lbfgsb(Path(_SCIPY.submodule_search_locations[0]) / "optimize").setulb
 
 
 # L-BFGS-B memory (correction pairs kept), its cap on objective evaluations,

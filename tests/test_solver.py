@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,8 @@ from screenkhorn import (
     ratio_vectors,
     restricted_sinkhorn,
 )
+import scipy.optimize
 from scipy.optimize import fmin_l_bfgs_b
-from scipy.optimize._lbfgsb import setulb
 
 import screenkhorn.solver
 from screenkhorn import DiscreteMeasure, decimation_to_budget
@@ -382,10 +386,15 @@ class TestSetulbDrive:
     def test_setulb_argument_list(self):
         # minimize passes these arguments by position; a SciPy release that
         # changes them must fail here rather than inside a solve
+        setulb = screenkhorn.solver.setulb
         assert setulb.__doc__.splitlines()[0] == (
             "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,"
             "maxls,ln_task)"
         )
+        # the routine the solve calls is the one in SciPy's optimize folder
+        module_file = Path(setulb.__self__.__file__)
+        assert module_file.parent == Path(scipy.optimize.__file__).parent
+        assert module_file.name.startswith("_lbfgsb.")
 
     @staticmethod
     def coupled_quadratic(seed, dim):
@@ -538,6 +547,54 @@ class TestSetulbDrive:
         assert report.converged == (
             expected["projected_gradient_inf_norm"] <= config.pg_tolerance
         )
+
+
+class TestLoadLbfgsb:
+    """The solver loads SciPy's compiled L-BFGS-B module from its file, and
+    never the scipy.optimize package around it."""
+
+    @staticmethod
+    def fresh_interpreter(code):
+        src = Path(screenkhorn.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_leaves_scipy_optimize_out(self):
+        # this test module imports scipy.optimize itself, so only a fresh
+        # interpreter can show that the library does not
+        out = self.fresh_interpreter(
+            "import sys\n"
+            "import screenkhorn, screenkhorn.cli\n"
+            "print([k for k in sys.modules if k.startswith('scipy.optimize')])\n"
+        )
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("scipy.optimize", "screenkhorn.solver"), ("screenkhorn.solver", "scipy.optimize")],
+    )
+    def test_scipy_optimize_keeps_its_own_import(self, first, second):
+        # whichever is imported first, scipy.optimize's _lbfgsb is bound on
+        # the package, registered under its name, and holds the same routine
+        out = self.fresh_interpreter(
+            f"import sys\nimport {first}\nimport {second}\n"
+            "module = scipy.optimize._lbfgsb\n"
+            "print(sys.modules['scipy.optimize._lbfgsb'] is module,\n"
+            "      screenkhorn.solver.setulb is module.setulb)\n"
+        )
+        assert out.split() == ["True", "True"]
+
+    def test_missing_module_names_the_folder(self, tmp_path):
+        with pytest.raises(ImportError, match="_lbfgsb") as info:
+            screenkhorn.solver._load_lbfgsb(tmp_path)
+        assert str(tmp_path) in str(info.value)
 
 
 class TestRestrictedSinkhorn:
