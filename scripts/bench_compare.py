@@ -39,8 +39,9 @@ def parse_args(argv):
     p.add_argument("--workload", required=True, action="append", dest="workloads")
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
+    # the quartiles of each side's runs need at least two of them
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
     if not (args.parent / "perfbench" / "run.py").is_file():
         p.error(f"no perfbench/run.py under {args.parent}")
     return args

@@ -34,7 +34,6 @@ from .core import (
 )
 from .diagnostics import (
     Certificate,
-    gap_diagnostic,
     marginal_norm_certificates,
     marginal_violations,
     omega_kappa,
@@ -100,7 +99,6 @@ __all__ = [
     "divergence",
     "dual_objective",
     "epsilon_kappa",
-    "gap_diagnostic",
     "generate_gaussian_pair",
     "gibbs_kernel",
     "marginal_norm_certificates",

@@ -1,5 +1,6 @@
-"""Benchmark harness: Gaussian cloud generation, cost construction, paired
-Sinkhorn vs screened-solve sweeps over (eta, budget, trial), and CSV I/O.
+"""Benchmark harness: Gaussian cloud generation, cost construction, and
+paired Sinkhorn vs screened-solve sweeps over (eta, budget, trial), written
+as CSV rows. screenkhorn.cli reads the measure and cost files.
 
 Data for a trial depends only on (master seed, trial index), so every
 (eta, budget) cell sees identical inputs and comparisons are paired. Wall
@@ -10,8 +11,6 @@ before any timed work.
 
 from __future__ import annotations
 
-import csv
-import math
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, TextIO
@@ -38,7 +37,6 @@ from .diagnostics import (
 )
 from .errors import (
     DegenerateCostError,
-    InputError,
     ParameterError,
     ScreenkhornError,
     ShapeError,
@@ -102,9 +100,6 @@ class ResultRow:
 
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
-
-# columns that legitimately differ between repeat runs of the same config
-TIME_COLUMNS = ("time_sinkhorn", "time_screenkhorn", "speedup")
 
 
 def generate_gaussian_pair(
@@ -378,166 +373,3 @@ def cell_means_table(rows: Iterable[ResultRow]) -> list[str]:
             f"{mean['rel_divergence']:8.4f} {conv:>7}"
         )
     return lines
-
-
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def _parse_float(
-    text: str, path: str, line: int, column: str
-) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise InputError(
-            f"{path}: line {line}, column {column}: cannot parse {text!r} as a number"
-        ) from None
-    if math.isnan(value) or math.isinf(value):
-        raise InputError(
-            f"{path}: line {line}, column {column}: value {text!r} is not finite"
-        )
-    return value
-
-
-def _parse_weight(text: str, path: str, line: int, column: str) -> float:
-    value = _parse_float(text, path, line, column)
-    if value <= 0.0:
-        raise InputError(
-            f"{path}: line {line}, column {column}: weight {value} "
-            "is not strictly positive"
-        )
-    return value
-
-
-def write_measures(path: str, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    """Header index,mu,nu; the shorter side is padded with blank cells."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "mu", "nu"])
-        for i in range(max(mu.size, nu.size)):
-            writer.writerow(
-                [
-                    i,
-                    format(mu.weights[i], ".17g") if i < mu.size else "",
-                    format(nu.weights[i], ".17g") if i < nu.size else "",
-                ]
-            )
-
-
-def load_measures(path: str) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    mu_vals: list[float] = []
-    nu_vals: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["index", "mu", "nu"]:
-            raise InputError(
-                f"{path}: expected header 'index,mu,nu', got {header}"
-            )
-        for line_no, record in enumerate(reader, start=2):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if len(record) != 3:
-                raise InputError(
-                    f"{path}: line {line_no}: expected 3 cells, got {len(record)}"
-                )
-            for cell, column, acc in (
-                (record[1], "mu", mu_vals),
-                (record[2], "nu", nu_vals),
-            ):
-                if cell.strip():
-                    acc.append(_parse_weight(cell, path, line_no, column))
-    if not mu_vals or not nu_vals:
-        raise InputError(f"{path}: at least one weight per measure is required")
-    return DiscreteMeasure(np.array(mu_vals)), DiscreteMeasure(np.array(nu_vals))
-
-
-def write_single_measure(path: str, name: str, measure: DiscreteMeasure) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", name])
-        for i, w in enumerate(measure.weights):
-            writer.writerow([i, format(w, ".17g")])
-
-
-def load_single_measure(path: str) -> DiscreteMeasure:
-    vals: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != 2 or header[0].strip() != "index":
-            raise InputError(
-                f"{path}: expected a two-column header starting with 'index', "
-                f"got {header}"
-            )
-        column = header[1].strip()
-        for line_no, record in enumerate(reader, start=2):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if len(record) != 2:
-                raise InputError(
-                    f"{path}: line {line_no}: expected 2 cells, got {len(record)}"
-                )
-            vals.append(_parse_weight(record[1], path, line_no, column))
-    if not vals:
-        raise InputError(f"{path}: no weights found")
-    return DiscreteMeasure(np.array(vals))
-
-
-def write_matrix(path: str, matrix: np.ndarray) -> None:
-    """Headerless rows of comma-separated decimals (cost and plan files)."""
-    with open(path, "w", newline="") as fh:
-        for row in np.asarray(matrix, dtype=np.float64):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_cost(path: str) -> CostMatrix:
-    rows: list[list[float]] = []
-    width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, record in enumerate(reader, start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            parsed = [
-                _parse_float(cell, path, line_no, str(col))
-                for col, cell in enumerate(record)
-            ]
-            if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
-                raise InputError(
-                    f"{path}: line {line_no}: expected {width} cells, got {len(parsed)}"
-                )
-            for col, value in enumerate(parsed):
-                if value < 0.0:
-                    raise InputError(
-                        f"{path}: line {line_no}, column {col}: cost {value} "
-                        "is negative"
-                    )
-            rows.append(parsed)
-    if not rows:
-        raise InputError(f"{path}: no cost rows found")
-    return CostMatrix(np.array(rows))
-
-
-def _with_cost(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, cost_path: str, measures_from: str
-) -> tuple[DiscreteMeasure, DiscreteMeasure, CostMatrix]:
-    """(mu, nu, C) with C read from cost_path and checked against the measure
-    sizes; measures_from names the file(s) the measures came from."""
-    C = load_cost(cost_path)
-    if C.shape != (mu.size, nu.size):
-        raise InputError(
-            f"{cost_path}: cost shape {C.shape} does not match measure sizes "
-            f"({mu.size}, {nu.size}) from {measures_from}"
-        )
-    return mu, nu, C
-
-
-def load_problem(
-    measures_path: str, cost_path: str
-) -> tuple[DiscreteMeasure, DiscreteMeasure, CostMatrix]:
-    mu, nu = load_measures(measures_path)
-    return _with_cost(mu, nu, cost_path, measures_path)

@@ -1,30 +1,37 @@
-"""Command line front end.
+"""Command line front end, and the file formats it reads and writes.
 
 Exit codes: 0 on success, 1 for bad inputs (files, shapes, parameters),
 2 for numeric failures at runtime, 3 when a certificate check fails.
+
+Measures come as one CSV with header index,mu,nu (the shorter side padded
+with blank cells) or as two CSVs with headers index,<name>; weights must be
+finite and strictly positive. Cost and plan files are headerless rows of
+comma-separated decimals, costs finite and nonnegative. Blank lines are
+skipped, and every other line must hold as many cells as the first.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import math
 import sys
+from typing import Iterator
 
 import click
+import numpy as np
 
 from .algorithm import decimation_to_budget, screenkhorn
 from .bench import (
     DEFAULT_ETA_GRID,
     ExperimentConfig,
-    _with_cost,
     cell_means_table,
     certify_outcome,
     compare_solvers,
-    load_problem,
-    load_single_measure,
     run_experiment,
-    write_matrix,
 )
-from .diagnostics import gap_diagnostic, marginal_violations, omega_kappa
+from .core import CostMatrix, DiscreteMeasure
+from .diagnostics import marginal_violations, omega_kappa
 from .errors import (
     CertificateViolationError,
     InputError,
@@ -94,19 +101,135 @@ def _parse_budget_spec(text: str) -> tuple[float, ...]:
     return _parse_float_list(text, "budget")
 
 
-def _load_inputs(measures, mu_path, nu_path, cost_path):
-    if measures is not None and (mu_path is not None or nu_path is not None):
+# ---------------------------------------------------------------------------
+# file formats
+
+
+def _records(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each nonblank CSV line of path, after checking
+    that it holds as many cells as the first nonblank line."""
+    width = None
+    with open(path, newline="") as fh:
+        for line_no, record in enumerate(csv.reader(fh), start=1):
+            if all(not cell.strip() for cell in record):
+                continue
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise InputError(
+                    f"{path}: line {line_no}: expected {width} cells, got {len(record)}"
+                )
+            yield line_no, record
+
+
+def _parse_float(text: str, path: str, line: int, column: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputError(
+            f"{path}: line {line}, column {column}: cannot parse {text!r} as a number"
+        ) from None
+    if math.isnan(value) or math.isinf(value):
+        raise InputError(
+            f"{path}: line {line}, column {column}: value {text!r} is not finite"
+        )
+    return value
+
+
+def _parse_weight(text: str, path: str, line: int, column: str) -> float:
+    value = _parse_float(text, path, line, column)
+    if value <= 0.0:
+        raise InputError(
+            f"{path}: line {line}, column {column}: weight {value} "
+            "is not strictly positive"
+        )
+    return value
+
+
+def load_measures(path: str) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    mu_vals: list[float] = []
+    nu_vals: list[float] = []
+    records = _records(path)
+    _, header = next(records, (None, None))
+    if header is None or [h.strip() for h in header] != ["index", "mu", "nu"]:
+        raise InputError(f"{path}: expected header 'index,mu,nu', got {header}")
+    for line_no, record in records:
+        for cell, column, acc in (
+            (record[1], "mu", mu_vals),
+            (record[2], "nu", nu_vals),
+        ):
+            if cell.strip():
+                acc.append(_parse_weight(cell, path, line_no, column))
+    if not mu_vals or not nu_vals:
+        raise InputError(f"{path}: at least one weight per measure is required")
+    return DiscreteMeasure(np.array(mu_vals)), DiscreteMeasure(np.array(nu_vals))
+
+
+def load_single_measure(path: str) -> DiscreteMeasure:
+    records = _records(path)
+    _, header = next(records, (None, None))
+    if header is None or len(header) != 2 or header[0].strip() != "index":
+        raise InputError(
+            f"{path}: expected a two-column header starting with 'index', "
+            f"got {header}"
+        )
+    column = header[1].strip()
+    vals = [_parse_weight(record[1], path, line_no, column) for line_no, record in records]
+    if not vals:
+        raise InputError(f"{path}: no weights found")
+    return DiscreteMeasure(np.array(vals))
+
+
+def load_cost(path: str) -> CostMatrix:
+    rows: list[list[float]] = []
+    for line_no, record in _records(path):
+        parsed = [
+            _parse_float(cell, path, line_no, str(col))
+            for col, cell in enumerate(record)
+        ]
+        for col, value in enumerate(parsed):
+            if value < 0.0:
+                raise InputError(
+                    f"{path}: line {line_no}, column {col}: cost {value} is negative"
+                )
+        rows.append(parsed)
+    if not rows:
+        raise InputError(f"{path}: no cost rows found")
+    return CostMatrix(np.array(rows))
+
+
+def load_problem(
+    cost_path: str,
+    measures_path: str | None = None,
+    mu_path: str | None = None,
+    nu_path: str | None = None,
+) -> tuple[DiscreteMeasure, DiscreteMeasure, CostMatrix]:
+    """(mu, nu, C): the measures from the combined file or from the mu/nu
+    pair, and C checked against their sizes."""
+    if measures_path is not None and (mu_path is not None or nu_path is not None):
         raise InputError("pass either --measures or the --mu/--nu pair, not both")
-    if measures is not None:
-        return load_problem(measures, cost_path)
-    if mu_path is None or nu_path is None:
+    if measures_path is not None:
+        mu, nu = load_measures(measures_path)
+        measures_from = measures_path
+    elif mu_path is None or nu_path is None:
         raise InputError("measures are required: --measures or both --mu and --nu")
-    return _with_cost(
-        load_single_measure(mu_path),
-        load_single_measure(nu_path),
-        cost_path,
-        f"{mu_path} and {nu_path}",
-    )
+    else:
+        mu, nu = load_single_measure(mu_path), load_single_measure(nu_path)
+        measures_from = f"{mu_path} and {nu_path}"
+    C = load_cost(cost_path)
+    if C.shape != (mu.size, nu.size):
+        raise InputError(
+            f"{cost_path}: cost shape {C.shape} does not match measure sizes "
+            f"({mu.size}, {nu.size}) from {measures_from}"
+        )
+    return mu, nu, C
+
+
+def write_matrix(path: str, matrix: np.ndarray) -> None:
+    """Headerless rows of comma-separated decimals (cost and plan files)."""
+    with open(path, "w", newline="") as fh:
+        for row in np.asarray(matrix, dtype=np.float64):
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 @click.group()
@@ -207,7 +330,7 @@ def _with_input_options(fn):
 @_mapped_errors
 def solve_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol, out):
     """Solve one instance with the screened dual and report the solution."""
-    mu, nu, C = _load_inputs(measures, mu_path, nu_path, cost)
+    mu, nu, C = load_problem(cost, measures, mu_path, nu_path)
     n_b, m_b = decimation_to_budget(mu.size, nu.size, budget)
     res = screenkhorn(
         C, eta, mu, nu, n_b, m_b,
@@ -244,7 +367,7 @@ def solve_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol, out):
 def compare_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol,
                 sinkhorn_threshold, sinkhorn_max_iter):
     """Run both solvers on one instance and print paired metrics."""
-    mu, nu, C = _load_inputs(measures, mu_path, nu_path, cost)
+    mu, nu, C = load_problem(cost, measures, mu_path, nu_path)
     n_b, m_b = decimation_to_budget(mu.size, nu.size, budget)
     outcome = compare_solvers(
         C, eta, mu, nu, n_b, m_b,
@@ -266,7 +389,6 @@ def compare_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol,
         f"active cols {res.screening.m_active}/{nu.size}"
     )
     click.echo(f"omega {omega_kappa(res):.17g}")
-    click.echo(f"gap diagnostic {gap_diagnostic(res, mu, nu, C, eta):.17g}")
     click.echo(f"converged {'true' if outcome.converged else 'false'}")
     if not outcome.converged:
         click.echo("certificates skipped: run did not converge")

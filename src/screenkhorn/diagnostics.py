@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import ScreenkhornResult
-from .core import CostMatrix, DiscreteMeasure, TransportPlan
+from .core import DiscreteMeasure, TransportPlan
 from .errors import InputError, ShapeError
 
 _REL_SLACK = 1e-9
@@ -215,27 +215,3 @@ def marginal_norm_certificates(
         _certify("row-marginal-mass", row_emp, row_bound),
         _certify("col-marginal-mass", col_emp, col_bound),
     )
-
-
-def gap_diagnostic(
-    result: ScreenkhornResult,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    C: CostMatrix,
-    eta: float,
-) -> float:
-    """Scale factor times (violations + omega), reported without pass/fail.
-
-    The factor is ||C||_inf / eta + log((n v m)^2 / (n m c^{7/2})) with c the
-    smallest active-set mass on either side. The constants hidden by the
-    objective-gap analysis are unknown, so this is a diagnostic number for
-    trend watching, not a certificate.
-    """
-    sr = result.screening
-    c_mass = min(
-        float(mu.weights[sr.active_rows].min()), float(nu.weights[sr.active_cols].min())
-    )
-    n, m = mu.size, nu.size
-    scale = C.max_norm / eta + np.log(max(n, m) ** 2 / (n * m * c_mass**3.5))
-    row, col = marginal_violations(result, mu, nu)
-    return float(scale * (row + col + omega_kappa(result)))

@@ -30,7 +30,10 @@ layouts of M:
   where s_i sums K over the screened columns of active row i, t_j sums K
   over the screened rows of active column j, and corner is the screened
   rows' mass on the screened columns. The positions are the first |I| rows
-  and |J| columns. a_hat^T M b_hat = a^T K_IJ b + beta <a, s> + alpha <t, b>
+  and |J| columns, held as slices, so a and b are written into a_hat and
+  b_hat, and the products' active parts read back, by basic slicing rather
+  than by index scatter and gather.
+  a_hat^T M b_hat = a^T K_IJ b + beta <a, s> + alpha <t, b>
   + alpha beta corner is the full layout's mass term summed in another
   order.
 
@@ -74,13 +77,14 @@ _FULL_LAYOUT_SHARE = 0.7
 
 @dataclass(frozen=True, eq=False)
 class ScreenedDualProblem:
-    """The matrix M, the positions of the active rows and columns in it, and
-    the fills alpha = eps/kappa and beta = eps*kappa for every other
+    """The matrix M, the positions of the active rows and columns in it
+    (index arrays on the full layout, leading slices on the compact one),
+    and the fills alpha = eps/kappa and beta = eps*kappa for every other
     position; see the module docstring for the two layouts of M."""
 
     matrix: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    rows: np.ndarray | slice
+    cols: np.ndarray | slice
     row_fill: float
     col_fill: float
     # the screened coordinates' linear terms, c in the module docstring
@@ -95,11 +99,11 @@ class ScreenedDualProblem:
 
     @property
     def n_active(self) -> int:
-        return self.rows.shape[0]
+        return self.mu_active.shape[0]
 
     @property
     def m_active(self) -> int:
-        return self.cols.shape[0]
+        return self.nu_active.shape[0]
 
     def row_vector(self, a: np.ndarray) -> np.ndarray:
         """a_hat: a at the active rows' positions in M, row_fill elsewhere."""
@@ -233,9 +237,7 @@ def _compact_layout(
         corner = row_mass - float(t.sum())
     matrix[n_b, m_b] = max(corner, 0.0)
 
-    return _problem(
-        mu, nu, K, sr, matrix, np.arange(n_b), np.arange(m_b), k_min
-    )
+    return _problem(mu, nu, K, sr, matrix, slice(0, n_b), slice(0, m_b), k_min)
 
 
 def _complement_sum(x: np.ndarray, idx: np.ndarray) -> float:
@@ -249,8 +251,8 @@ def _problem(
     K: GibbsKernel,
     sr: ScreeningResult,
     matrix: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    rows: np.ndarray | slice,
+    cols: np.ndarray | slice,
     k_min: float,
 ) -> ScreenedDualProblem:
     eps = sr.epsilon

@@ -168,7 +168,8 @@ def restricted_sinkhorn(
             f"scaling vectors of shapes {a.shape}, {b.shape} do not match "
             f"active sizes ({p.n_active}, {p.m_active})"
         )
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
+    # written so that NaN fails it too
+    if not (np.all(a > 0.0) and np.all(b > 0.0)):
         raise InputError("initial scaling vectors must be strictly positive")
 
     for _ in range(iters):
@@ -201,6 +202,10 @@ def minimize(
             f"bounds and start must be 1-d with one shape, got {lower.shape}, "
             f"{upper.shape}, {start.shape}"
         )
+    for name, array in (("lower", lower), ("upper", upper), ("start", start)):
+        nan = np.isnan(array)
+        if nan.any():
+            raise InputError(f"{name}[{int(np.flatnonzero(nan)[0])}] is NaN")
     if np.any(lower > upper):
         bad = int(np.flatnonzero(lower > upper)[0])
         raise InputError(f"lower[{bad}] = {lower[bad]} exceeds upper[{bad}] = {upper[bad]}")
@@ -209,68 +214,59 @@ def minimize(
         f, g = fun(x)
         return float(f), np.asarray(g, dtype=np.float64)
 
-    x0 = np.clip(start, lower, upper)
-    f0, g0 = evaluate(x0)
-    pg0 = float(np.abs(projected_gradient(x0, g0, lower, upper)).max())
-    if pg0 <= config.pg_tolerance:
-        # L-BFGS-B's projected gradient is never larger than this one, so it
-        # would stop at x0 after this same evaluation
-        return SolverReport(
-            solution=x0,
-            objective_value=f0,
-            projected_gradient_inf_norm=pg0,
-            iterations=0,
-            evaluations=1,
-            converged=True,
-            stop_reason="start",
-        )
-
-    n, m = x0.size, _HISTORY_SIZE
-    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
-    nbd = _BOUND_CODES[has_lower.astype(np.intp), has_upper.astype(np.intp)]
-    low = np.where(has_lower, lower, 0.0)
-    high = np.where(has_upper, upper, 0.0)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task = np.zeros(2, dtype=np.int32)
-    ln_task = np.zeros(2, dtype=np.int32)
-    lsave = np.zeros(4, dtype=np.int32)
-    isave = np.zeros(44, dtype=np.int32)
-    dsave = np.zeros(29)
-
-    # setulb overwrites x in place; (f, g) always belong to the point `at`
-    x = x0.copy()
-    at, f, g = x0, f0, g0
-    iterations, evaluations = 0, 1
-    while True:
-        setulb(m, x, low, high, nbd, f, g, 0.0, config.pg_tolerance, wa, iwa,
-               task, lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
-        if task[0] == _TASK_FG:
-            # a request at the point last evaluated (the start, first of all)
-            # is answered from it, as SciPy's wrapper does
-            if not np.array_equal(x, at):
-                at = x.copy()
-                f, g = evaluate(at)
-                evaluations += 1
-        elif task[0] == _TASK_NEW_X:
-            iterations += 1
-            if iterations >= config.max_iterations:
-                task[:] = _TASK_STOP, _ITERATION_LIMIT
-            elif evaluations > _MAX_EVALUATIONS:
-                task[:] = _TASK_STOP, _EVALUATION_LIMIT
-        else:
-            break
-
-    # recheck at the (defensively clipped) returned point: the report rests on
-    # the objective and gradient there. setulb normally stops at the point it
-    # last asked for, whose evaluation is reused; any other point (the
-    # previous iterate after a failed line search, or one the clip moved) is
-    # evaluated and counted
-    x = np.clip(x, lower, upper)
-    if not np.array_equal(x, at):
-        f, g = evaluate(x)
-        evaluations += 1
+    x = np.clip(start, lower, upper)
+    f, g = evaluate(x)
     pg_norm = float(np.abs(projected_gradient(x, g, lower, upper)).max())
+    iterations, evaluations, stop_reason = 0, 1, "start"
+    # L-BFGS-B's projected gradient is never larger than this one, so when
+    # this one meets the tolerance it would stop at the start after this same
+    # evaluation
+    if pg_norm > config.pg_tolerance:
+        n, m = x.size, _HISTORY_SIZE
+        has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+        nbd = _BOUND_CODES[has_lower.astype(np.intp), has_upper.astype(np.intp)]
+        low = np.where(has_lower, lower, 0.0)
+        high = np.where(has_upper, upper, 0.0)
+        wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        iwa = np.zeros(3 * n, dtype=np.int32)
+        task = np.zeros(2, dtype=np.int32)
+        ln_task = np.zeros(2, dtype=np.int32)
+        lsave = np.zeros(4, dtype=np.int32)
+        isave = np.zeros(44, dtype=np.int32)
+        dsave = np.zeros(29)
+
+        # setulb overwrites x in place; (f, g) always belong to the point `at`
+        at, x = x, x.copy()
+        while True:
+            setulb(m, x, low, high, nbd, f, g, 0.0, config.pg_tolerance, wa, iwa,
+                   task, lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
+            if task[0] == _TASK_FG:
+                # a request at the point last evaluated (the start, first of
+                # all) is answered from it, as SciPy's wrapper does
+                if not np.array_equal(x, at):
+                    at = x.copy()
+                    f, g = evaluate(at)
+                    evaluations += 1
+            elif task[0] == _TASK_NEW_X:
+                iterations += 1
+                if iterations >= config.max_iterations:
+                    task[:] = _TASK_STOP, _ITERATION_LIMIT
+                elif evaluations > _MAX_EVALUATIONS:
+                    task[:] = _TASK_STOP, _EVALUATION_LIMIT
+            else:
+                break
+
+        # recheck at the (defensively clipped) returned point: the report
+        # rests on the objective and gradient there. setulb normally stops at
+        # the point it last asked for, whose evaluation is reused; any other
+        # point (the previous iterate after a failed line search, or one the
+        # clip moved) is evaluated and counted
+        x = np.clip(x, lower, upper)
+        if not np.array_equal(x, at):
+            f, g = evaluate(x)
+            evaluations += 1
+        pg_norm = float(np.abs(projected_gradient(x, g, lower, upper)).max())
+        stop_reason = _STOP_REASONS.get((int(task[0]), int(task[1])), "abnormal")
     return SolverReport(
         solution=x,
         objective_value=f,
@@ -278,5 +274,5 @@ def minimize(
         iterations=iterations,
         evaluations=evaluations,
         converged=bool(pg_norm <= config.pg_tolerance),
-        stop_reason=_STOP_REASONS.get((int(task[0]), int(task[1])), "abnormal"),
+        stop_reason=stop_reason,
     )

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -58,3 +60,28 @@ def dense_plan(potentials, K: GibbsKernel) -> np.ndarray:
     return (
         np.exp(potentials.u)[:, None] * K.entries * np.exp(potentials.v)[None, :]
     )
+
+
+def write_measures(path, mu, nu):
+    """A combined measures file, header index,mu,nu; the shorter side is
+    padded with blank cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "mu", "nu"])
+        for i in range(max(mu.size, nu.size)):
+            writer.writerow(
+                [
+                    i,
+                    format(mu.weights[i], ".17g") if i < mu.size else "",
+                    format(nu.weights[i], ".17g") if i < nu.size else "",
+                ]
+            )
+
+
+def write_single_measure(path, name, measure):
+    """A one-measure file, header index,<name>."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", name])
+        for i, w in enumerate(measure.weights):
+            writer.writerow([i, format(w, ".17g")])

@@ -25,19 +25,19 @@ from screenkhorn import (
     screenkhorn,
 )
 from screenkhorn import gibbs_kernel
-from screenkhorn.bench import (
-    RESULT_COLUMNS,
-    TIME_COLUMNS,
+from screenkhorn.bench import RESULT_COLUMNS
+from screenkhorn.cli import (
     load_cost,
     load_measures,
     load_problem,
     load_single_measure,
     write_matrix,
-    write_measures,
-    write_single_measure,
 )
 from screenkhorn._rng import derive_seed
-from conftest import random_instance
+from conftest import random_instance, write_measures, write_single_measure
+
+# columns that legitimately differ between repeat runs of the same config
+TIME_COLUMNS = ("time_sinkhorn", "time_screenkhorn", "speedup")
 
 
 def small_config(out, **overrides):
@@ -370,7 +370,7 @@ class TestMatrixFiles:
         write_measures(measures, mu, mu)
         write_matrix(cost, np.zeros((3, 2)))
         with pytest.raises(InputError, match="does not match measure sizes"):
-            load_problem(measures, cost)
+            load_problem(cost, measures)
 
     def test_load_problem_round_trip(self, tmp_path):
         measures = str(tmp_path / "measures.csv")
@@ -379,7 +379,7 @@ class TestMatrixFiles:
         nu = DiscreteMeasure(np.array([0.2, 0.8]))
         write_measures(measures, mu, nu)
         write_matrix(cost, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        mu2, nu2, C = load_problem(measures, cost)
+        mu2, nu2, C = load_problem(cost, measures)
         assert C.shape == (2, 2)
         np.testing.assert_allclose(nu2.weights, nu.weights, rtol=1e-15)
 
@@ -410,3 +410,30 @@ class TestPerfbenchTracing:
         names = {span[0] for span in tracer.spans}
         assert {"core.gibbs_kernel", "screened.build_problem", "solver.minimize"} <= names
         assert report.iterations > 0
+
+
+class TestBenchCompareScript:
+    """scripts/bench_compare.py summarizes each side's runs by quartiles, which
+    need two runs; fewer pairs must be refused before any run starts."""
+
+    def test_one_pair_exits_at_parse_time(self, tmp_path, monkeypatch, capsys):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "bench_compare", root / "scripts" / "bench_compare.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a benchmark run started")
+
+        monkeypatch.setattr(script, "run_once", no_runs)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exit_info:
+            script.main([
+                "--parent", str(root), "--seed", "1", "--pairs", "1",
+                "--workload", "kernel-bound", "--out", str(out),
+            ])
+        assert exit_info.value.code == 2
+        assert "--pairs must be at least 2" in capsys.readouterr().err
+        assert not out.exists()

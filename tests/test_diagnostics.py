@@ -16,7 +16,6 @@ from screenkhorn import (
     active_sets,
     build_problem,
     epsilon_kappa,
-    gap_diagnostic,
     marginal_norm_certificates,
     marginal_violations,
     omega_kappa,
@@ -247,24 +246,6 @@ class TestOmegaKappa:
             + abs(1.0 - 1.0 / kap)
         )
         assert omega_kappa(result) == pytest.approx(expected, rel=1e-14)
-
-
-class TestGapDiagnostic:
-    def test_finite_positive_on_solved_run(self):
-        mu, nu, C, _ = random_instance(1, 12, 10)
-        result = screenkhorn(C, 1.0, mu, nu, 6, 5, solver_config=SolverConfig(pg_tolerance=1e-8))
-        val = gap_diagnostic(result, mu, nu, C, 1.0)
-        assert isinstance(val, float)
-        assert math.isfinite(val)
-        assert val > 0.0
-
-    def test_no_convergence_gate(self):
-        # a diagnostic, not a certificate: it reports a number for any run
-        mu, nu, C, _ = random_instance(5, 8, 8)
-        cfg = SolverConfig(pg_tolerance=1e-14, max_iterations=1)
-        result = screenkhorn(C, 1.0, mu, nu, 4, 4, solver_config=cfg)
-        assert not result.solver_report.converged
-        assert math.isfinite(gap_diagnostic(result, mu, nu, C, 1.0))
 
 
 class TestOracleSolve:

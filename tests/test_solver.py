@@ -270,6 +270,16 @@ class TestMinimizeContracts:
                 np.zeros(2),
             )
 
+    @pytest.mark.parametrize("name", ["lower", "upper", "start"])
+    def test_nan_input_is_named(self, name):
+        arrays = {"lower": np.full(3, -1.0), "upper": np.full(3, 1.0), "start": np.zeros(3)}
+        arrays[name][1] = np.nan
+        with pytest.raises(InputError, match=rf"{name}\[1\] is NaN"):
+            minimize(
+                fg(lambda x: float(x @ x), lambda x: 2.0 * x),
+                arrays["lower"], arrays["upper"], arrays["start"],
+            )
+
     def test_pinned_box_returns_that_point(self):
         point = np.array([0.25, -0.5])
         report = minimize(
@@ -679,6 +689,14 @@ class TestRestrictedSinkhorn:
             restricted_sinkhorn(p, np.ones(p.n_active + 1), good_b)
         with pytest.raises(ParameterError):
             restricted_sinkhorn(p, good_a, good_b, iters=-1)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_rejects_nan_scaling(self, side):
+        p, _ = screened_setup(9, 5, 4, 3, 3)
+        start = {"a": np.full(p.n_active, 1.0), "b": np.full(p.m_active, 1.0)}
+        start[side][0] = np.nan
+        with pytest.raises(InputError, match="strictly positive"):
+            restricted_sinkhorn(p, start["a"], start["b"])
 
 
 class TestScreenedDualSolve:
