@@ -45,9 +45,6 @@ from .screening import (
 )
 from .solver import SolverConfig, SolverReport, minimize, restricted_sinkhorn
 
-# restricted scaling sweeps on the active block that warm start the solve
-_WARM_START_SWEEPS = 3
-
 
 @dataclass(frozen=True, eq=False)
 class ScreenkhornResult:
@@ -122,8 +119,7 @@ def screenkhorn(
         bounds = box_bounds(problem, budget)
     with _step("warm start"):
         a0 = np.full(problem.n_active, eps / kap)
-        b0 = np.full(problem.m_active, eps * kap)
-        a, b = restricted_sinkhorn(problem, a0, b0, _WARM_START_SWEEPS)
+        a, b = restricted_sinkhorn(problem, a0)
         lower, upper = bounds.stacked(problem.n_active, problem.m_active)
         # minimize() clips the start into the box
         theta0 = np.concatenate([np.log(a), np.log(b)])

@@ -24,6 +24,7 @@ from .core import (
     DiscreteMeasure,
     DualSolution,
     _row_chunks,
+    divergence,
     gibbs_kernel,
     sinkhorn,
 )
@@ -138,22 +139,6 @@ def pairwise_euclidean(x: np.ndarray, y: np.ndarray, normalize: bool) -> CostMat
     return CostMatrix(c)
 
 
-def _plan_cost(
-    C: CostMatrix, kernel_entries: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> float:
-    """<C, P> for P = diag(e^u) K diag(e^v), without materializing P."""
-    return float(
-        np.einsum(
-            "i,ij,ij,j->",
-            np.exp(u),
-            C.entries,
-            kernel_entries,
-            np.exp(v),
-            optimize=True,
-        )
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ComparisonOutcome:
     """Both solvers run on one instance, with the paired metrics."""
@@ -199,10 +184,8 @@ def compare_solvers(
     )
 
     row_violation, col_violation = marginal_violations(screened, mu, nu)
-    cost_star = _plan_cost(C, K.entries, baseline.potentials.u, baseline.potentials.v)
-    cost_screen = _plan_cost(
-        C, K.entries, screened.potentials.u, screened.potentials.v
-    )
+    cost_star = divergence(baseline.potentials, K, C)
+    cost_screen = divergence(screened.potentials, K, C)
     rel_divergence = abs(cost_star - cost_screen) / cost_star
 
     return ComparisonOutcome(

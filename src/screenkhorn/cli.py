@@ -4,10 +4,11 @@ Exit codes: 0 on success, 1 for bad inputs (files, shapes, parameters),
 2 for numeric failures at runtime, 3 when a certificate check fails.
 
 Measures come as one CSV with header index,mu,nu (the shorter side padded
-with blank cells) or as two CSVs with headers index,<name>; weights must be
-finite and strictly positive. Cost and plan files are headerless rows of
-comma-separated decimals, costs finite and nonnegative. Blank lines are
-skipped, and every other line must hold as many cells as the first.
+with trailing blank cells) or as two CSVs with headers index,<name>; index
+cells read 0, 1, 2, ... in order, and weights are finite and positive. Cost
+and plan files are headerless rows of comma-separated decimals, costs
+finite and nonnegative. Blank lines are skipped, and every other line must
+hold as many cells as the first.
 """
 
 from __future__ import annotations
@@ -146,20 +147,35 @@ def _parse_weight(text: str, path: str, line: int, column: str) -> float:
     return value
 
 
+def _weight_columns(
+    path: str, records: Iterator[tuple[int, list[str]]], columns: list[str], padded: bool
+) -> list[list[float]]:
+    """The weights under each of columns, the cells after the index, in the
+    records after the header. Index cells must read 0, 1, 2, ... in order. A
+    padded file may end a column with a run of blank cells; any other blank
+    cell fails to parse."""
+    rows = list(records)
+    for expected, (line_no, record) in enumerate(rows):
+        if record[0].strip() != str(expected):
+            raise InputError(
+                f"{path}: line {line_no}, column index: expected {expected}, "
+                f"got {record[0]!r}"
+            )
+    weights = []
+    for k, column in enumerate(columns, start=1):
+        cells = [(line_no, record[k]) for line_no, record in rows]
+        while padded and cells and not cells[-1][1].strip():
+            cells.pop()
+        weights.append([_parse_weight(cell, path, line, column) for line, cell in cells])
+    return weights
+
+
 def load_measures(path: str) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    mu_vals: list[float] = []
-    nu_vals: list[float] = []
     records = _records(path)
     _, header = next(records, (None, None))
     if header is None or [h.strip() for h in header] != ["index", "mu", "nu"]:
         raise InputError(f"{path}: expected header 'index,mu,nu', got {header}")
-    for line_no, record in records:
-        for cell, column, acc in (
-            (record[1], "mu", mu_vals),
-            (record[2], "nu", nu_vals),
-        ):
-            if cell.strip():
-                acc.append(_parse_weight(cell, path, line_no, column))
+    mu_vals, nu_vals = _weight_columns(path, records, ["mu", "nu"], padded=True)
     if not mu_vals or not nu_vals:
         raise InputError(f"{path}: at least one weight per measure is required")
     return DiscreteMeasure(np.array(mu_vals)), DiscreteMeasure(np.array(nu_vals))
@@ -173,8 +189,7 @@ def load_single_measure(path: str) -> DiscreteMeasure:
             f"{path}: expected a two-column header starting with 'index', "
             f"got {header}"
         )
-    column = header[1].strip()
-    vals = [_parse_weight(record[1], path, line_no, column) for line_no, record in records]
+    (vals,) = _weight_columns(path, records, [header[1].strip()], padded=False)
     if not vals:
         raise InputError(f"{path}: no weights found")
     return DiscreteMeasure(np.array(vals))

@@ -46,15 +46,23 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         w = _as_array(self.weights, "weights", 1)
-        if not np.all(np.isfinite(w)):
-            bad = int(np.flatnonzero(~np.isfinite(w))[0])
-            raise InputError(f"weight[{bad}] is not finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = w.sum()
+        if not np.isfinite(total):
+            bad = np.flatnonzero(~np.isfinite(w))
+            raise InputError(
+                f"weight[{bad[0]}] is not finite" if bad.size else f"weights sum to {total}"
+            )
         if np.any(w <= 0.0):
             bad = int(np.flatnonzero(w <= 0.0)[0])
             raise InputError(
                 f"weights must be strictly positive, weight[{bad}] = {w[bad]}"
             )
-        object.__setattr__(self, "weights", w / w.sum())
+        w = w / total
+        if np.any(w == 0.0):
+            bad = int(np.flatnonzero(w == 0.0)[0])
+            raise InputError(f"weight[{bad}] underflows to zero once normalized")
+        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
@@ -198,10 +206,6 @@ class TransportPlan:
         object.__setattr__(self, "row_marginal", p.sum(axis=1))
         object.__setattr__(self, "col_marginal", p.sum(axis=0))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
 
 @dataclass(frozen=True, eq=False)
 class DualSolution:
@@ -277,8 +281,9 @@ def _marginals(
     return a * kb, b * kta
 
 
-def plan_from_potentials(pot: DualPotentials, K: GibbsKernel) -> TransportPlan:
-    """P_ij = e^{u_i} K_ij e^{v_j}."""
+def _scalings(pot: DualPotentials, K: GibbsKernel) -> tuple[np.ndarray, np.ndarray]:
+    """e^u and e^v, after checking their lengths against K. An entry that
+    overflows comes back inf; each caller checks its own result."""
     n, m = K.shape
     if pot.u.shape[0] != n or pot.v.shape[0] != m:
         raise ShapeError(
@@ -286,16 +291,17 @@ def plan_from_potentials(pot: DualPotentials, K: GibbsKernel) -> TransportPlan:
             f"match kernel shape ({n}, {m})"
         )
     with np.errstate(over="ignore"):
-        a = np.exp(pot.u)
-        b = np.exp(pot.v)
-    for name, vec in (("u", a), ("v", b)):
-        if np.any(np.isinf(vec)):
-            bad = int(np.flatnonzero(np.isinf(vec))[0])
-            raise NumericRangeError(f"e^{name}[{bad}] overflows")
-    with np.errstate(over="ignore"):
+        return np.exp(pot.u), np.exp(pot.v)
+
+
+def plan_from_potentials(pot: DualPotentials, K: GibbsKernel) -> TransportPlan:
+    """P_ij = e^{u_i} K_ij e^{v_j}."""
+    a, b = _scalings(pot, K)
+    # an overflowing scaling leaves inf, or nan against an underflowed one
+    with np.errstate(over="ignore", invalid="ignore"):
         p = (a[:, None] * K.entries) * b[None, :]
-    if np.any(np.isinf(p)):
-        i, j = map(int, np.argwhere(np.isinf(p))[0])
+    if not np.all(np.isfinite(p)):
+        i, j = map(int, np.argwhere(~np.isfinite(p))[0])
         raise NumericRangeError(f"plan entry ({i}, {j}) overflows")
     if np.any(p == 0.0):
         i, j = map(int, np.argwhere(p == 0.0)[0])
@@ -307,26 +313,28 @@ def dual_objective(
     pot: DualPotentials, K: GibbsKernel, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> float:
     """Sum of B(u, v) minus the linear terms <u, mu> + <v, nu>."""
-    n, m = K.shape
-    if pot.u.shape[0] != n or mu.size != n or pot.v.shape[0] != m or nu.size != m:
-        raise ShapeError(
-            f"dimensions disagree: kernel ({n}, {m}), u {pot.u.shape[0]}, "
-            f"mu {mu.size}, v {pot.v.shape[0]}, nu {nu.size}"
-        )
+    _check_sizes(mu, nu, K)
+    a, b = _scalings(pot, K)
     with np.errstate(over="ignore"):
-        a = np.exp(pot.u)
-        b = np.exp(pot.v)
         mass = a @ (K.entries @ b)
     if not np.isfinite(mass):
         raise NumericRangeError("dual objective mass term overflows")
     return float(mass - pot.u @ mu.weights - pot.v @ nu.weights)
 
 
-def divergence(P: TransportPlan, C: CostMatrix) -> float:
-    """<C, P>, the transport cost of the plan."""
-    if P.shape != C.shape:
-        raise ShapeError(f"plan shape {P.shape} does not match cost shape {C.shape}")
-    return float(np.sum(C.entries * P.entries))
+def divergence(pot: DualPotentials, K: GibbsKernel, C: CostMatrix) -> float:
+    """<C, P> for P = diag(e^u) K diag(e^v), by row chunks, without forming P."""
+    if C.shape != K.shape:
+        raise ShapeError(f"cost shape {C.shape} does not match kernel shape {K.shape}")
+    a, b = _scalings(pot, K)
+    cost = 0.0
+    # an overflowing e^u or e^v makes the sum inf or nan, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_chunks(*K.shape):
+            cost += a[rows] @ ((C.entries[rows] * K.entries[rows]) @ b)
+    if not np.isfinite(cost):
+        raise NumericRangeError("plan cost overflows")
+    return float(cost)
 
 
 def sinkhorn(

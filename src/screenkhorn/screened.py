@@ -159,7 +159,10 @@ def build_problem(
     cols = sr.active_cols
     if rows.size == 0 or cols.size == 0:
         raise DegenerateScreeningError("active sets must be nonempty")
-    if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m:
+    if (rows[1:] <= rows[:-1]).any() or (cols[1:] <= cols[:-1]).any():
+        raise InputError("active indices are not strictly increasing")
+    # in increasing order, the first and last index bound the rest
+    if rows[0] < 0 or rows[-1] >= n or cols[0] < 0 or cols[-1] >= m:
         raise InputError(f"active indices fall outside the kernel's shape ({n}, {m})")
     if rows.size * cols.size >= _FULL_LAYOUT_SHARE * n * m:
         return _full_layout(mu, nu, K, sr)

@@ -148,29 +148,23 @@ def projected_gradient(
 
 
 def restricted_sinkhorn(
-    p: ScreenedDualProblem,
-    a0: np.ndarray,
-    b0: np.ndarray,
-    iters: int = 3,
+    p: ScreenedDualProblem, a0: np.ndarray, iters: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
     """A few scaling sweeps on the active coordinates, the screened ones held
     at their fills in M's products.
 
-    Used to warm start the reduced solve. The output generally violates the
-    lower bound constraints, so callers clamp it into the box afterwards.
+    Used to warm start the reduced solve. Each sweep sets b from a first, so
+    only a needs a start. The output generally violates the lower bound
+    constraints, so callers clamp it into the box afterwards.
     """
-    if iters < 0:
-        raise ParameterError(f"iters must be nonnegative, got {iters}")
-    a = np.asarray(a0, dtype=np.float64).copy()
-    b = np.asarray(b0, dtype=np.float64).copy()
-    if a.shape != (p.n_active,) or b.shape != (p.m_active,):
-        raise ShapeError(
-            f"scaling vectors of shapes {a.shape}, {b.shape} do not match "
-            f"active sizes ({p.n_active}, {p.m_active})"
-        )
+    if iters < 1:
+        raise ParameterError(f"iters must be at least 1, got {iters}")
+    a = np.asarray(a0, dtype=np.float64)
+    if a.shape != (p.n_active,):
+        raise ShapeError(f"a0 of shape {a.shape} does not match {p.n_active} active rows")
     # written so that NaN fails it too
-    if not (np.all(a > 0.0) and np.all(b > 0.0)):
-        raise InputError("initial scaling vectors must be strictly positive")
+    if not np.all(a > 0.0):
+        raise InputError("initial scaling vector must be strictly positive")
 
     for _ in range(iters):
         f_v = (p.row_vector(a) @ p.matrix)[p.cols]

@@ -320,8 +320,8 @@ def test_criterion_7_full_budget_reduction():
                 C, eta, mu, mu, n, n, solver_config=SolverConfig(pg_tolerance=PG_TOL)
             )
             linf = float(np.abs(res.plan.entries - base_plan.entries).max())
-            d_base = divergence(base_plan, C)
-            d_screen = divergence(res.plan, C)
+            d_base = divergence(base.potentials, K, C)
+            d_screen = divergence(res.potentials, K, C)
             rel = abs(d_screen - d_base) / abs(d_base)
             worst_linf = max(worst_linf, linf)
             worst_rel = max(worst_rel, rel)

@@ -17,7 +17,6 @@ from screenkhorn import (
     SolverConfig,
     certify_outcome,
     compare_solvers,
-    divergence,
     generate_gaussian_pair,
     pairwise_euclidean,
     plan_from_potentials,
@@ -191,8 +190,10 @@ class TestCompareSolvers:
         outcome = compare_solvers(
             C, 1.0, mu, nu, 7, 6, solver_config=SolverConfig(pg_tolerance=1e-8)
         )
-        base_cost = divergence(plan_from_potentials(outcome.baseline.potentials, K), C)
-        screen_cost = divergence(plan_from_potentials(outcome.screened.potentials, K), C)
+        base_plan = plan_from_potentials(outcome.baseline.potentials, K)
+        screen_plan = plan_from_potentials(outcome.screened.potentials, K)
+        base_cost = np.sum(C.entries * base_plan.entries)
+        screen_cost = np.sum(C.entries * screen_plan.entries)
         expected = abs(base_cost - screen_cost) / base_cost
         assert outcome.rel_divergence == pytest.approx(expected, rel=1e-10)
 
@@ -319,6 +320,29 @@ class TestMeasureFiles:
         path.write_text("index,mu,nu\n")
         with pytest.raises(InputError, match="at least one weight"):
             load_measures(str(path))
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            # a blank inside a column would move the weights after it
+            (load_measures, "index,mu,nu\n0,,0.5\n1,0.3,0.5\n2,0.2,\n",
+             r"line 2, column mu: cannot parse ''"),
+            (load_measures, "index,mu,nu\n7,0.5,0.5\n7,0.5,0.5\n",
+             r"line 2, column index: expected 0, got '7'"),
+            (load_single_measure, "index,mu\n0,0.5\n0,0.5\n",
+             r"line 3, column index: expected 1, got '0'"),
+            (load_single_measure, "index,mu\n0,0.5\n1,\n",
+             r"line 3, column mu: cannot parse ''"),
+        ],
+    )
+    def test_rejects_misnumbered_index_and_inner_blank(
+        self, tmp_path, loader, text, message
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message) as info:
+            loader(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_single_measure_round_trip(self, tmp_path):
         path = str(tmp_path / "mu.csv")

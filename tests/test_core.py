@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ class TestDiscreteMeasure:
     def test_normalizes(self):
         m = DiscreteMeasure(np.array([1.0, 3.0]))
         np.testing.assert_allclose(m.weights, [0.25, 0.75])
+        w = np.array([0.1, 0.7, 0.3])
+        np.testing.assert_array_equal(DiscreteMeasure(w).weights, w / w.sum())
         assert m.weights.sum() == pytest.approx(1.0)
 
     def test_accepts_nearly_normalized(self):
@@ -42,10 +45,14 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array([0.5, 0.5, -0.1]))
         with pytest.raises(InputError):
             DiscreteMeasure(np.array([0.5, 0.0]))
+        with pytest.raises(InputError, match=r"weight\[0\] underflows"):
+            DiscreteMeasure(np.array([5e-324, 1e300]))
 
     def test_rejects_nonfinite_and_empty(self):
         with pytest.raises(InputError):
             DiscreteMeasure(np.array([0.5, np.inf]))
+        with pytest.raises(InputError, match="sum to inf"):
+            DiscreteMeasure(np.array([1e308, 1e308]))
         with pytest.raises(InputError):
             DiscreteMeasure(np.array([]))
         with pytest.raises(ShapeError):
@@ -292,20 +299,59 @@ class TestDualObjective:
 class TestDivergence:
     def test_zero_cost(self):
         K = GibbsKernel(np.ones((2, 2)), 1.0)
-        P = plan_from_potentials(DualPotentials(np.zeros(2), np.zeros(2)), K)
-        assert divergence(P, CostMatrix(np.zeros((2, 2)))) == 0.0
+        pot = DualPotentials(np.zeros(2), np.zeros(2))
+        assert divergence(pot, K, CostMatrix(np.zeros((2, 2)))) == 0.0
 
     def test_support_off_cost(self):
         K = GibbsKernel(np.array([[0.5, 1e-12], [1e-12, 0.5]]), 1.0)
-        P = plan_from_potentials(DualPotentials(np.zeros(2), np.zeros(2)), K)
+        pot = DualPotentials(np.zeros(2), np.zeros(2))
         C = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert divergence(P, C) == pytest.approx(2e-12, rel=1e-12)
+        assert divergence(pot, K, C) == pytest.approx(2e-12, rel=1e-12)
 
     def test_uniform_plan(self):
         K = GibbsKernel(np.full((2, 2), 0.25), 1.0)
-        P = plan_from_potentials(DualPotentials(np.zeros(2), np.zeros(2)), K)
+        pot = DualPotentials(np.zeros(2), np.zeros(2))
         C = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert divergence(P, C) == pytest.approx(0.5, rel=1e-15)
+        assert divergence(pot, K, C) == pytest.approx(0.5, rel=1e-15)
+
+    # one row chunk, two chunks, and rows wider than a chunk
+    @pytest.mark.parametrize("n, m", [(5, 7), (300, 300), (3, 70_000)])
+    def test_matches_dense_plan_cost(self, n, m):
+        _, _, C, K = random_instance(n + m, n, m)
+        rng = np.random.default_rng(n * m)
+        pot = DualPotentials(rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, m))
+        dense = np.sum(C.entries * dense_plan(pot, K))
+        assert divergence(pot, K, C) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("cost_row", [[1.0, 1.0], [0.0, 0.0]])
+    def test_overflow_raises(self, cost_row):
+        # a zero cost row meets the infinite scaling as inf * 0 = nan
+        K = GibbsKernel(np.full((2, 2), 0.5), 1.0)
+        C = CostMatrix(np.array([cost_row, [1.0, 1.0]]))
+        pot = DualPotentials(np.array([1000.0, 0.0]), np.zeros(2))
+        with pytest.raises(NumericRangeError):
+            divergence(pot, K, C)
+
+    def test_shape_mismatch(self):
+        K = GibbsKernel(np.full((2, 3), 0.5), 1.0)
+        pot = DualPotentials(np.zeros(2), np.zeros(3))
+        with pytest.raises(ShapeError):
+            divergence(pot, K, CostMatrix(np.zeros((3, 2))))
+        for u, v in ((np.zeros(3), np.zeros(3)), (np.zeros(2), np.zeros(2))):
+            with pytest.raises(ShapeError):
+                divergence(DualPotentials(u, v), K, CostMatrix(np.zeros((2, 3))))
+
+    def test_no_plan_sized_allocation(self):
+        # the plan at n = m = 1000 would take 8 MB; a row chunk takes 0.5 MB
+        _, _, C, K = random_instance(5, 1000, 1000)
+        pot = DualPotentials(np.zeros(1000), np.zeros(1000))
+        tracemalloc.start()
+        try:
+            divergence(pot, K, C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSinkhorn:

@@ -265,11 +265,17 @@ class TestBlockSweep:
 
     @pytest.mark.parametrize(
         "rows, cols",
-        [([0, 6], [1]), ([-1, 2], [1]), ([0], [0, 5]), ([0], [-2])],
+        [
+            ([0, 6], [1]), ([-1, 2], [1]), ([0], [0, 5]), ([0], [-2]),
+            # in range, but repeated or out of order
+            ([1, 1, 1, 5], [1]), ([0], [3, 1]),
+        ],
     )
     def test_indices_outside_the_kernel_rejected(self, rows, cols):
         mu, nu, K, _ = self.instance(0, 6, 5, 1, 1, 1.0, 1.0)
-        with pytest.raises(InputError, match="outside the kernel"):
+        increasing = all(np.all(np.diff(idx) > 0) for idx in (rows, cols))
+        message = "outside the kernel" if increasing else "not strictly increasing"
+        with pytest.raises(InputError, match=message):
             build_problem(mu, nu, K, forced_screening(1.0, 1.0, rows, cols))
 
 
@@ -305,9 +311,8 @@ class TestLayouts:
         assert abs(f_c - f_f) <= 1e-13 * f_scale
         assert np.all(np.abs(g_c - g_f) <= 1e-13 * g_scale)
         a0 = np.full(sr.n_active, sr.epsilon / sr.kappa)
-        b0 = np.full(sr.m_active, sr.epsilon * sr.kappa)
-        a_c, b_c = restricted_sinkhorn(compact, a0, b0, 3)
-        a_f, b_f = restricted_sinkhorn(full, a0, b0, 3)
+        a_c, b_c = restricted_sinkhorn(compact, a0, 3)
+        a_f, b_f = restricted_sinkhorn(full, a0, 3)
         np.testing.assert_allclose(a_c, a_f, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(b_c, b_f, rtol=1e-13, atol=0.0)
 
