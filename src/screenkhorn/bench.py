@@ -12,8 +12,8 @@ before any timed work.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable, TextIO
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -232,18 +232,6 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_result_header(stream: TextIO) -> None:
-    stream.write(",".join(RESULT_COLUMNS) + "\n")
-    stream.flush()
-
-
-def write_result_row(stream: TextIO, row: ResultRow) -> None:
-    stream.write(
-        ",".join(format_value(getattr(row, name)) for name in RESULT_COLUMNS) + "\n"
-    )
-    stream.flush()
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     certify: bool = False,
@@ -263,7 +251,8 @@ def run_experiment(
     cert_failures: list[tuple[ResultRow, Certificate]] = []
 
     with open(cfg.output_path, "w", newline="") as out:
-        write_result_header(out)
+        out.write(",".join(RESULT_COLUMNS) + "\n")
+        out.flush()
         for eta in cfg.eta_list:
             # warm-up, discarded: first trial's data at the first budget
             warm_seed = derive_seed(cfg.seed, 0)
@@ -286,37 +275,25 @@ def run_experiment(
                         outcome = compare_solvers(
                             C, eta, mu, nu, n_b, m_b, solver_config
                         )
-                        row = ResultRow(
-                            eta=eta,
-                            budget=budget_factor,
-                            trial=trial,
-                            seed=trial_seed,
-                            time_sinkhorn=outcome.time_sinkhorn,
-                            time_screenkhorn=outcome.time_screenkhorn,
-                            speedup=outcome.speedup,
-                            row_violation=outcome.row_violation,
-                            col_violation=outcome.col_violation,
-                            rel_divergence=outcome.rel_divergence,
-                            kappa=outcome.screened.screening.kappa,
-                            epsilon=outcome.screened.screening.epsilon,
-                            active_rows=outcome.screened.screening.n_active,
-                            active_cols=outcome.screened.screening.m_active,
-                            converged=outcome.converged,
-                        )
                     except ScreenkhornError as exc:
                         say(f"eta={eta} budget={budget_factor} trial={trial}: {exc}")
-                        nan = float("nan")
-                        row = ResultRow(
-                            eta=eta, budget=budget_factor, trial=trial,
-                            seed=trial_seed,
-                            time_sinkhorn=nan, time_screenkhorn=nan, speedup=nan,
-                            row_violation=nan, col_violation=nan,
-                            rel_divergence=nan, kappa=nan, epsilon=nan,
-                            active_rows=0, active_cols=0, converged=False,
-                        )
                         outcome = None
+                        # nan metrics, no active indices, not converged
+                        metrics = (float("nan"),) * 8 + (0, 0, False)
+                    else:
+                        sr = outcome.screened.screening
+                        metrics = (
+                            outcome.time_sinkhorn, outcome.time_screenkhorn,
+                            outcome.speedup, outcome.row_violation,
+                            outcome.col_violation, outcome.rel_divergence,
+                            sr.kappa, sr.epsilon, sr.n_active, sr.m_active,
+                            outcome.converged,
+                        )
+                    # the metrics follow ResultRow's first four columns in order
+                    row = ResultRow(eta, budget_factor, trial, trial_seed, *metrics)
                     rows.append(row)
-                    write_result_row(out, row)
+                    out.write(",".join(map(format_value, astuple(row))) + "\n")
+                    out.flush()
                     if certify and outcome is not None and outcome.converged:
                         for cert in certify_outcome(outcome, mu, nu):
                             if not cert.satisfied:

@@ -295,18 +295,18 @@ def _scalings(pot: DualPotentials, K: GibbsKernel) -> tuple[np.ndarray, np.ndarr
 
 
 def plan_from_potentials(pot: DualPotentials, K: GibbsKernel) -> TransportPlan:
-    """P_ij = e^{u_i} K_ij e^{v_j}."""
+    """P_ij = e^{u_i} K_ij e^{v_j}, formed in place in one n x m array."""
     a, b = _scalings(pot, K)
     # an overflowing scaling leaves inf, or nan against an underflowed one
     with np.errstate(over="ignore", invalid="ignore"):
-        p = (a[:, None] * K.entries) * b[None, :]
-    if not np.all(np.isfinite(p)):
-        i, j = map(int, np.argwhere(~np.isfinite(p))[0])
-        raise NumericRangeError(f"plan entry ({i}, {j}) overflows")
-    if np.any(p == 0.0):
-        i, j = map(int, np.argwhere(p == 0.0)[0])
-        raise NumericRangeError(f"plan entry ({i}, {j}) underflowed to zero")
-    return TransportPlan(p)
+        p = a[:, None] * K.entries
+        p *= b
+    # TransportPlan's entry checks are the only scans of p; an entry they
+    # refuse is a numeric range failure of these potentials, not bad input
+    try:
+        return TransportPlan(p)
+    except InputError as exc:
+        raise NumericRangeError(str(exc)) from exc
 
 
 def dual_objective(

@@ -337,7 +337,7 @@ def gradient(
 
 
 def _box_side(
-    eps: float, k_min: float, n: int, m: int, n_b: int, m_b: int, kap: float,
+    eps: float, k_min: float, n: int, m: int, m_b: int, kap: float,
     own: np.ndarray, other: np.ndarray,
 ) -> tuple[float, float]:
     """(lower, upper) log bounds of the u side, where own = mu_I and
@@ -356,11 +356,10 @@ def box_bounds(p: ScreenedDualProblem, budget: Budget) -> BoxBounds:
     transposed problem (sides swapped, kappa -> 1/kappa).
     """
     eps, kap, k_min = p.epsilon, p.kappa, p.k_min
-    n_b, m_b = budget.n_b, budget.m_b
     u_lower, u_upper = _box_side(
-        eps, k_min, p.n, p.m, n_b, m_b, kap, p.mu_active, p.nu_active
+        eps, k_min, p.n, p.m, budget.m_b, kap, p.mu_active, p.nu_active
     )
     v_lower, v_upper = _box_side(
-        eps, k_min, p.m, p.n, m_b, n_b, 1.0 / kap, p.nu_active, p.mu_active
+        eps, k_min, p.m, p.n, budget.n_b, 1.0 / kap, p.nu_active, p.mu_active
     )
     return BoxBounds(u_lower, u_upper, v_lower, v_upper)

@@ -147,26 +147,17 @@ def projected_gradient(
     return pg
 
 
-def restricted_sinkhorn(
-    p: ScreenedDualProblem, a0: np.ndarray, iters: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """A few scaling sweeps on the active coordinates, the screened ones held
+def restricted_sinkhorn(p: ScreenedDualProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Three scaling sweeps on the active coordinates, the screened ones held
     at their fills in M's products.
 
     Used to warm start the reduced solve. Each sweep sets b from a first, so
-    only a needs a start. The output generally violates the lower bound
-    constraints, so callers clamp it into the box afterwards.
+    only a needs a start: row_fill, the value screening holds the screened
+    rows at. The output generally violates the lower bound constraints, so
+    callers clamp it into the box afterwards.
     """
-    if iters < 1:
-        raise ParameterError(f"iters must be at least 1, got {iters}")
-    a = np.asarray(a0, dtype=np.float64)
-    if a.shape != (p.n_active,):
-        raise ShapeError(f"a0 of shape {a.shape} does not match {p.n_active} active rows")
-    # written so that NaN fails it too
-    if not np.all(a > 0.0):
-        raise InputError("initial scaling vector must be strictly positive")
-
-    for _ in range(iters):
+    a = np.full(p.n_active, p.row_fill)
+    for _ in range(3):
         f_v = (p.row_vector(a) @ p.matrix)[p.cols]
         b = p.nu_active / (p.kappa * f_v)
         f_u = (p.matrix @ p.col_vector(b))[p.rows]

@@ -245,8 +245,27 @@ class TestPlanFromPotentials:
     def test_overflow_names_coordinate(self):
         K = GibbsKernel(np.ones((2, 2)), 1.0)
         pot = DualPotentials(np.array([0.0, 1000.0]), np.zeros(2))
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(NumericRangeError, match=r"plan entry \(1, 0\)"):
             plan_from_potentials(pot, K)
+
+    def test_underflow_names_coordinate(self):
+        K = GibbsKernel(np.ones((2, 2)), 1.0)
+        pot = DualPotentials(np.zeros(2), np.array([0.0, -1000.0]))
+        with pytest.raises(NumericRangeError, match=r"plan entry \(0, 1\)"):
+            plan_from_potentials(pot, K)
+
+    def test_one_plan_sized_allocation(self):
+        # the plan at n = m = 1000 takes 8 MB; it is formed in place, and its
+        # entry checks allocate 1 MB boolean masks
+        _, _, _, K = random_instance(5, 1000, 1000)
+        pot = DualPotentials(np.zeros(1000), np.zeros(1000))
+        tracemalloc.start()
+        try:
+            plan_from_potentials(pot, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8e6
 
     def test_shape_mismatch(self):
         K = GibbsKernel(np.ones((2, 3)), 1.0)

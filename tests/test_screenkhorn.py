@@ -152,8 +152,6 @@ class TestAssembly:
     def test_timing_fields(self):
         res = solve_random(7, 6, 6, 3, 3)
         assert res.wall_time > 0.0
-        assert res.screening_time >= 0.0
-        assert res.wall_time > res.screening_time
 
     def test_budget_recorded(self):
         res = solve_random(8, 7, 6, 4, 2)

@@ -30,7 +30,7 @@ from screenkhorn import DiscreteMeasure, decimation_to_budget
 from screenkhorn.bench import generate_gaussian_pair, pairwise_euclidean
 from screenkhorn.core import gibbs_kernel
 from screenkhorn.solver import _HISTORY_SIZE, _MAX_EVALUATIONS, projected_gradient
-from screenkhorn.screened import gradient, objective
+from screenkhorn.screened import _compact_layout, _full_layout, gradient, objective
 from conftest import fg, random_instance
 from oracle import oracle_solve
 
@@ -544,7 +544,7 @@ class TestSetulbDrive:
         eps, kap = epsilon_kappa(xi, zeta, budget)
         p = build_problem(mu, nu, K, active_sets(mu, nu, K, eps, kap))
         lower, upper = box_bounds(p, budget).stacked(p.n_active, p.m_active)
-        a, b = restricted_sinkhorn(p, np.full(p.n_active, eps / kap))
+        a, b = restricted_sinkhorn(p)
         start = np.concatenate([np.log(a), np.log(b)])
         f, g = stacked_calls(p)
         config = SolverConfig()
@@ -608,8 +608,8 @@ class TestLoadLbfgsb:
 class TestRestrictedSinkhorn:
     def test_flat_cost_fixed_point(self):
         # 2x2 zero cost, uniform weights, full budget: the scaling pair
-        # lands on (0.5, 0.5) after one sweep and stays there, giving the
-        # uniform quarter plan
+        # lands on (0.5, 0.5) after one sweep and stays there through the
+        # other two, giving the uniform quarter plan
         mu, nu, _, K = random_instance(0, 2, 2)
         import screenkhorn as sk
 
@@ -623,12 +623,9 @@ class TestRestrictedSinkhorn:
         p = build_problem(
             measure, measure, kernel, active_sets(measure, measure, kernel, eps, kap)
         )
-        a, b = restricted_sinkhorn(p, np.full(2, eps), iters=1)
+        a, b = restricted_sinkhorn(p)
         np.testing.assert_allclose(a, one_half, rtol=1e-15)
         np.testing.assert_allclose(b, one_half, rtol=1e-15)
-        a3, b3 = restricted_sinkhorn(p, np.full(2, eps), iters=3)
-        np.testing.assert_allclose(a3, a, rtol=1e-15)
-        np.testing.assert_allclose(b3, b, rtol=1e-15)
         plan = a[:, None] * p.matrix[np.ix_(p.rows, p.cols)] * b[None, :]
         np.testing.assert_allclose(plan, 0.25, rtol=1e-15)
 
@@ -638,9 +635,8 @@ class TestRestrictedSinkhorn:
         p, _ = screened_setup(5, 6, 5, 6, 5)
         assert p.matrix.shape == (p.n_active, p.m_active)
         kernel_block = p.matrix[np.ix_(p.rows, p.cols)]
-        a0 = np.full(p.n_active, 0.7)
-        a, b = restricted_sinkhorn(p, a0, iters=3)
-        ar = a0.copy()
+        a, b = restricted_sinkhorn(p)
+        ar = np.full(p.n_active, p.row_fill)
         for _ in range(3):
             br = p.nu_active / (p.kappa * (kernel_block.T @ ar))
             ar = p.kappa * p.mu_active / (kernel_block @ br)
@@ -651,38 +647,45 @@ class TestRestrictedSinkhorn:
         seed=st.integers(min_value=0, max_value=2**32),
         n_b=st.integers(min_value=1, max_value=6),
         m_b=st.integers(min_value=1, max_value=5),
-        iters=st.integers(min_value=1, max_value=4),
     )
-    def test_output_stays_positive(self, seed, n_b, m_b, iters):
+    def test_output_stays_positive(self, seed, n_b, m_b):
         mu, nu, _, K = random_instance(seed, 6, 5)
         xi, zeta = ratio_vectors(mu, nu, K)
         eps, kap = epsilon_kappa(xi, zeta, Budget(n_b, m_b))
         p = build_problem(mu, nu, K, active_sets(mu, nu, K, eps, kap))
-        a, b = restricted_sinkhorn(p, np.full(p.n_active, eps / kap), iters)
+        a, b = restricted_sinkhorn(p)
         assert np.all(a > 0.0)
         assert np.all(b > 0.0)
 
-    def test_rejects_bad_inputs(self):
-        p, _ = screened_setup(9, 5, 4, 3, 3)
-        good_a = np.full(p.n_active, 1.0)
-        with pytest.raises(InputError):
-            restricted_sinkhorn(p, good_a * 0.0)
-        with pytest.raises(InputError):
-            bad = good_a.copy()
-            bad[-1] = -0.5
-            restricted_sinkhorn(p, bad)
-        with pytest.raises(ShapeError):
-            restricted_sinkhorn(p, np.ones(p.n_active + 1))
-        for iters in (0, -1):
-            with pytest.raises(ParameterError):
-                restricted_sinkhorn(p, good_a, iters=iters)
-
-    def test_rejects_nan_scaling(self):
-        p, _ = screened_setup(9, 5, 4, 3, 3)
-        start = np.full(p.n_active, 1.0)
-        start[0] = np.nan
-        with pytest.raises(InputError, match="strictly positive"):
-            restricted_sinkhorn(p, start)
+    @pytest.mark.parametrize("layout", [_compact_layout, _full_layout])
+    def test_three_sweeps_from_the_row_fill(self, layout):
+        # the warm start, pinned bitwise on both layouts to three scaling
+        # sweeps written out from a at the rows' threshold value, each sweep
+        # setting b from a and then a from b
+        mu, nu, _, K = random_instance(41, 9, 7)
+        xi, zeta = ratio_vectors(mu, nu, K)
+        eps, kap = epsilon_kappa(xi, zeta, Budget(5, 4))
+        p = layout(mu, nu, K, active_sets(mu, nu, K, eps, kap))
+        # screened rows and columns, so the fills enter every product
+        assert p.n_active < 9 and p.m_active < 7
+        a_hat = np.full(p.matrix.shape[0], p.row_fill)
+        b_hat = np.full(p.matrix.shape[1], p.col_fill)
+        a = np.full(p.n_active, p.row_fill)
+        a_hat[p.rows] = a
+        b = p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols])
+        b_hat[p.cols] = b
+        a = p.kappa * p.mu_active / (p.matrix @ b_hat)[p.rows]
+        a_hat[p.rows] = a
+        b = p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols])
+        b_hat[p.cols] = b
+        a = p.kappa * p.mu_active / (p.matrix @ b_hat)[p.rows]
+        a_hat[p.rows] = a
+        b = p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols])
+        b_hat[p.cols] = b
+        a = p.kappa * p.mu_active / (p.matrix @ b_hat)[p.rows]
+        got_a, got_b = restricted_sinkhorn(p)
+        np.testing.assert_array_equal(got_a, a)
+        np.testing.assert_array_equal(got_b, b)
 
 
 class TestScreenedDualSolve:
