@@ -3,7 +3,7 @@
 The package solves the entropy-regularized transport problem two ways: the
 classical Sinkhorn scaling loop, and a screened formulation that freezes
 provably-negligible dual variables at a closed-form value and solves the
-remaining bound-constrained dual with a quasi-Newton method. Computable
+remaining bound-constrained dual by clipped scaling sweeps. Computable
 certificates bound how far the screened solution's marginals can drift from
 the targets.
 """
@@ -27,7 +27,6 @@ from .core import (
     GibbsKernel,
     TransportPlan,
     divergence,
-    dual_objective,
     gibbs_kernel,
     plan_from_potentials,
     sinkhorn,
@@ -97,7 +96,6 @@ __all__ = [
     "compare_solvers",
     "decimation_to_budget",
     "divergence",
-    "dual_objective",
     "epsilon_kappa",
     "generate_gaussian_pair",
     "gibbs_kernel",

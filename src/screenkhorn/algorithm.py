@@ -1,5 +1,6 @@
-"""End-to-end screened solve: screening, bounds, warm start, reduced
-minimization, and reassembly of full potentials and the plan.
+"""End-to-end screened solve: screening, bounds, the reduced dual solved by
+clipped scaling sweeps (solver.restricted_sinkhorn), and reassembly of full
+potentials and the plan.
 
 Wall time covers everything from kernel construction through the reduced
 solve. Plan materialization and the marginal products happen outside the
@@ -29,9 +30,9 @@ from .screened import (
     BoxBounds,
     box_bounds,
     build_problem,
-    evaluate,
-    # not called here; kept importable for perfbench/tracing.py until the
-    # solve records its own trace (ROADMAP item 3)
+    # not called here; kept importable for perfbench/tracing.py, whose
+    # TARGETS look them up on this module, until the solve records its own
+    # trace (ROADMAP item 4)
     gradient,
     objective,
 )
@@ -42,7 +43,14 @@ from .screening import (
     epsilon_kappa,
     ratio_vectors,
 )
-from .solver import SolverConfig, SolverReport, minimize, restricted_sinkhorn
+from .solver import (
+    SolverConfig,
+    SolverReport,
+    # off the solve path since the clipped sweeps replaced L-BFGS-B; kept
+    # importable here for the same TARGETS
+    minimize,
+    restricted_sinkhorn,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +99,7 @@ def screenkhorn(
     solver_config: SolverConfig | None = None,
     materialize_plan: bool = True,
 ) -> ScreenkhornResult:
-    """Screen, warm start, solve the reduced dual, reassemble.
+    """Screen, solve the reduced dual by clipped scaling sweeps, reassemble.
 
     The returned potentials hold the threshold values log(eps/kappa) and
     log(eps*kappa) bit-exactly on the screened complements. A solver that
@@ -112,24 +120,12 @@ def screenkhorn(
         problem = build_problem(mu, nu, K, sr)
     with _step("bounds"):
         bounds = box_bounds(problem, budget)
-    with _step("warm start"):
-        a, b = restricted_sinkhorn(problem)
-        lower, upper = bounds.stacked(problem.n_active, problem.m_active)
-        # minimize() clips the start into the box
-        theta0 = np.concatenate([np.log(a), np.log(b)])
-
-    k = problem.n_active
     with _step("solve"):
-        report = minimize(
-            lambda th: evaluate(problem, th[:k], th[k:]),
-            lower,
-            upper,
-            theta0,
-            solver_config,
-        )
+        report = restricted_sinkhorn(problem, bounds, solver_config)
     wall_time = time.perf_counter() - t_start
 
     with _step("assembly"):
+        k = problem.n_active
         u_full = np.full(n, np.log(eps / kap))
         v_full = np.full(m, np.log(eps * kap))
         u_full[sr.active_rows] = report.solution[:k]

@@ -38,7 +38,7 @@ from .errors import (
     InputError,
     ScreenkhornError,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, SolverReport
 
 
 def _mapped_errors(fn):
@@ -328,6 +328,14 @@ _input_options = [
 ]
 
 
+def _echo_solve_work(report: SolverReport) -> None:
+    """Why the screened solve stopped, and its work: sweeps, and the pair of
+    products with M that each sweep forms."""
+    click.echo(f"stop reason {report.stop_reason}")
+    click.echo(f"sweeps {report.iterations}")
+    click.echo(f"products {2 * report.evaluations}")
+
+
 def _with_input_options(fn):
     for opt in reversed(_input_options):
         fn = opt(fn)
@@ -362,6 +370,7 @@ def solve_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol, out):
     click.echo(
         f"projected gradient {res.solver_report.projected_gradient_inf_norm:.17g}"
     )
+    _echo_solve_work(res.solver_report)
     row_violation, col_violation = marginal_violations(res, mu, nu)
     click.echo(f"row violation {row_violation:.17g}")
     click.echo(f"col violation {col_violation:.17g}")
@@ -404,6 +413,7 @@ def compare_cmd(measures, mu_path, nu_path, cost, eta, budget, pg_tol,
         f"active cols {res.screening.m_active}/{nu.size}"
     )
     click.echo(f"omega {omega_kappa(res):.17g}")
+    _echo_solve_work(res.solver_report)
     click.echo(f"converged {'true' if outcome.converged else 'false'}")
     if not outcome.converged:
         click.echo("certificates skipped: run did not converge")

@@ -309,19 +309,6 @@ def plan_from_potentials(pot: DualPotentials, K: GibbsKernel) -> TransportPlan:
         raise NumericRangeError(str(exc)) from exc
 
 
-def dual_objective(
-    pot: DualPotentials, K: GibbsKernel, mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> float:
-    """Sum of B(u, v) minus the linear terms <u, mu> + <v, nu>."""
-    _check_sizes(mu, nu, K)
-    a, b = _scalings(pot, K)
-    with np.errstate(over="ignore"):
-        mass = a @ (K.entries @ b)
-    if not np.isfinite(mass):
-        raise NumericRangeError("dual objective mass term overflows")
-    return float(mass - pot.u @ mu.weights - pot.v @ nu.weights)
-
-
 def divergence(pot: DualPotentials, K: GibbsKernel, C: CostMatrix) -> float:
     """<C, P> for P = diag(e^u) K diag(e^v), by row chunks, without forming P."""
     if C.shape != K.shape:

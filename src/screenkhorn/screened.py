@@ -37,11 +37,13 @@ layouts of M:
   + alpha beta corner is the full layout's mass term summed in another
   order.
 
-evaluate() and restricted_sinkhorn() are written once over (M, positions,
-fills). evaluate() returns the objective and its gradient together from one
-exponentiation per side and two products, M b_hat and M^T a_hat, the first
-shared by the mass term and the u gradient. objective() and gradient() are
-views of it.
+evaluate() and the solve, solver.restricted_sinkhorn(), are written once
+over (M, positions, fills). evaluate() returns the objective and its
+gradient together from one exponentiation per side and two products,
+M b_hat and M^T a_hat, the first shared by the mass term and the u gradient.
+objective() and gradient() are views of it. The solve's clipped sweeps form
+the same two products per sweep: each block's exact minimizer over the box
+is the clipped scaling update, v from M^T a_hat and u from M b_hat.
 
 build_problem() picks the layout from the active block's share of K,
 |I| |J| / (n m). The compact layout pays a gather of the block, and then

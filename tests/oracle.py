@@ -1,8 +1,9 @@
 """Ground truth for the reduced solve: an independent projected gradient
-method that the tests compare minimize() against, and the screened objective
-and gradient summed from dense plans, once from a compact-layout problem's
-own block and cross sums and once from the whole kernel. None of them shares
-code with the quasi-Newton path or with evaluate().
+method that the tests compare minimize() and the clipped sweeps against, the
+screened objective and gradient summed from dense plans, once from a
+compact-layout problem's own block and cross sums and once from the whole
+kernel, and the plain (unscreened) dual objective. None of them shares code
+with the quasi-Newton path, the sweeps or evaluate().
 """
 
 from __future__ import annotations
@@ -11,7 +12,16 @@ import math
 
 import numpy as np
 
-from screenkhorn import InputError, ScreenkhornError, ShapeError
+from screenkhorn import (
+    DiscreteMeasure,
+    DualPotentials,
+    GibbsKernel,
+    InputError,
+    NumericRangeError,
+    ScreenkhornError,
+    ShapeError,
+)
+from screenkhorn.core import _check_sizes, _scalings
 from screenkhorn.screened import ScreenedDualProblem, gradient, objective
 from screenkhorn.solver import projected_gradient
 
@@ -67,6 +77,19 @@ def full_plan_value_and_gradient(mu, nu, K, sr, u, v):
     row_terms = [plan.sum(axis=1)[rows], -kap * mu_active]
     col_terms = [plan.sum(axis=0)[cols], -nu_active / kap]
     return _summed(terms, row_terms, col_terms)
+
+
+def dual_objective(
+    pot: DualPotentials, K: GibbsKernel, mu: DiscreteMeasure, nu: DiscreteMeasure
+) -> float:
+    """Sum of B(u, v) minus the linear terms <u, mu> + <v, nu>."""
+    _check_sizes(mu, nu, K)
+    a, b = _scalings(pot, K)
+    with np.errstate(over="ignore"):
+        mass = a @ (K.entries @ b)
+    if not np.isfinite(mass):
+        raise NumericRangeError("dual objective mass term overflows")
+    return float(mass - pot.u @ mu.weights - pot.v @ nu.weights)
 
 
 def _others(size, active):

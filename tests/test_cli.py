@@ -1,10 +1,26 @@
+import functools
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from screenkhorn import CostMatrix, DiscreteMeasure, InputError
+from screenkhorn import (
+    CostMatrix,
+    DiscreteMeasure,
+    InputError,
+    SolverConfig,
+    decimation_to_budget,
+    screenkhorn,
+)
 from screenkhorn.bench import RESULT_COLUMNS
-from screenkhorn.cli import _parse_budget_spec, _parse_float_list, load_cost, main, write_matrix
+from screenkhorn.cli import (
+    _parse_budget_spec,
+    _parse_float_list,
+    load_cost,
+    load_problem,
+    main,
+    write_matrix,
+)
 from conftest import write_measures, write_single_measure
 
 
@@ -82,6 +98,25 @@ class TestSolveCommand:
         assert "converged true" in result.output
         assert "row violation" in result.output
         assert "wall time" in result.output
+
+    def test_reports_why_and_how_long_the_solve_ran(self, runner, instance_files):
+        result = runner.invoke(
+            main,
+            ["solve", "--measures", instance_files["measures"],
+             "--cost", instance_files["cost"], "--eta", "1.0", "--budget", "0.5",
+             "--pg-tol", "1e-9"],
+        )
+        assert result.exit_code == 0, result.output
+        mu, nu, C = load_problem(instance_files["cost"], instance_files["measures"])
+        report = screenkhorn(
+            C, 1.0, mu, nu, *decimation_to_budget(6, 6, 0.5),
+            solver_config=SolverConfig(pg_tolerance=1e-9), materialize_plan=False,
+        ).solver_report
+        assert report.stop_reason == "pg_tolerance" and report.iterations > 1
+        lines = result.output.splitlines()
+        assert "stop reason pg_tolerance" in lines
+        assert f"sweeps {report.iterations}" in lines
+        assert f"products {2 * report.iterations}" in lines
 
     def test_writes_plan_file(self, runner, instance_files, tmp_path):
         plan_path = str(tmp_path / "plan.csv")
@@ -171,6 +206,7 @@ class TestCompareCommand:
         for key in ("speedup", "rel divergence", "omega"):
             assert key in result.output
         assert "converged true" in result.output
+        assert "stop reason pg_tolerance" in result.output.splitlines()
         assert result.output.count("certificate") == 7
         assert "FAILED" not in result.output
 
@@ -189,7 +225,13 @@ class TestCompareCommand:
         assert "FAILED" in result.output
         assert "failed certificates" in result.output
 
-    def test_unconverged_run_skips_certificates(self, runner, instance_files):
+    def test_unconverged_run_skips_certificates(self, runner, instance_files, monkeypatch):
+        # the sweeps meet even --pg-tol 1e-15 on this instance, so the run is
+        # made to stop unconverged by a cap of one sweep on the config the
+        # command builds
+        monkeypatch.setattr(
+            "screenkhorn.cli.SolverConfig", functools.partial(SolverConfig, max_iterations=1)
+        )
         result = runner.invoke(
             main,
             ["compare", "--measures", instance_files["measures"],
@@ -198,6 +240,8 @@ class TestCompareCommand:
         )
         assert result.exit_code == 0, result.output
         assert "converged false" in result.output
+        lines = result.output.splitlines()
+        assert {"stop reason max_iterations", "sweeps 1", "products 2"} <= set(lines)
         assert "certificates skipped" in result.output
         assert "certificate box-containment" not in result.output
 

@@ -15,13 +15,13 @@ from screenkhorn import (
     ParameterError,
     ShapeError,
     divergence,
-    dual_objective,
     gibbs_kernel,
     plan_from_potentials,
     sinkhorn,
 )
 from screenkhorn.core import _CHUNK_ENTRIES, _EXP_UNDERFLOW
 from conftest import dense_plan, random_instance
+from oracle import dual_objective
 
 # rows of 1000 put 65 rows in a chunk, so 137 rows end partway through the
 # third chunk; a row wider than a chunk makes every chunk a single row

@@ -269,6 +269,8 @@ class TestOracleSolve:
 
     @pytest.mark.parametrize("seed, n, m, n_b, m_b", [(0, 6, 5, 3, 3), (7, 8, 8, 4, 5)])
     def test_matches_quasi_newton_objective(self, seed, n, m, n_b, m_b):
+        # the screened solve's objective; the name predates the clipped
+        # sweeps, which replaced L-BFGS-B as that solve
         mu, nu, result = solved(seed, n, m, n_b, m_b, pg_tolerance=1e-9)
         _, _, _, K = random_instance(seed, n, m)
         problem = build_problem(mu, nu, K, result.screening)

@@ -15,11 +15,11 @@ from screenkhorn import (
     NumericRangeError,
     ScreeningResult,
     ShapeError,
+    SolverConfig,
     active_sets,
     box_bounds,
     build_problem,
     decimation_to_budget,
-    dual_objective,
     epsilon_kappa,
     ratio_vectors,
     screenkhorn,
@@ -38,7 +38,11 @@ from screenkhorn.screened import (
 )
 from conftest import random_instance, symmetric_instance
 from test_core import CHUNK_SHAPES
-from oracle import full_plan_value_and_gradient, screened_value_and_gradient
+from oracle import (
+    dual_objective,
+    full_plan_value_and_gradient,
+    screened_value_and_gradient,
+)
 
 # the private builders force a layout; build_problem picks one by share
 LAYOUTS = (_compact_layout, _full_layout)
@@ -299,7 +303,7 @@ class TestLayouts:
     @pytest.mark.parametrize("factor", LAYOUT_BUDGETS)
     @pytest.mark.parametrize("n, m", LAYOUT_SHAPES)
     def test_evaluate_k_min_and_warm_start_agree(self, n, m, factor):
-        mu, nu, _, K, sr, _ = self.instance(n, m, factor)
+        mu, nu, _, K, sr, (n_b, m_b) = self.instance(n, m, factor)
         compact = _compact_layout(mu, nu, K, sr)
         full = _full_layout(mu, nu, K, sr)
         assert full.matrix is K.entries
@@ -310,10 +314,16 @@ class TestLayouts:
         _, f_scale, _, g_scale = full_plan_value_and_gradient(mu, nu, K, sr, u, v)
         assert abs(f_c - f_f) <= 1e-13 * f_scale
         assert np.all(np.abs(g_c - g_f) <= 1e-13 * g_scale)
-        a_c, b_c = restricted_sinkhorn(compact)
-        a_f, b_f = restricted_sinkhorn(full)
-        np.testing.assert_allclose(a_c, a_f, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(b_c, b_f, rtol=1e-13, atol=0.0)
+        # the first three clipped sweeps, the warm start's length before the
+        # sweeps became the whole solve
+        budget = Budget(n_b, m_b)
+        three = SolverConfig(pg_tolerance=1e-300, max_iterations=3)
+        sweeps_c = restricted_sinkhorn(compact, box_bounds(compact, budget), three)
+        sweeps_f = restricted_sinkhorn(full, box_bounds(full, budget), three)
+        assert sweeps_c.iterations == sweeps_f.iterations
+        np.testing.assert_allclose(
+            np.exp(sweeps_c.solution), np.exp(sweeps_f.solution), rtol=1e-13, atol=0.0
+        )
 
     @pytest.mark.parametrize("factor", LAYOUT_BUDGETS)
     @pytest.mark.parametrize("n, m", LAYOUT_SHAPES)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +25,16 @@ from screenkhorn import (
     violation_certificate_rows,
 )
 from screenkhorn import algorithm
-from screenkhorn.screened import evaluate
+from screenkhorn.bench import generate_gaussian_pair, pairwise_euclidean
+from screenkhorn.screened import build_problem
 from conftest import random_instance, ring_instance, symmetric_instance
+
+
+def gaussian_instance(n, seed):
+    """The benchmark's instance family: Gaussian clouds, normalized Euclidean
+    cost, uniform weights on both sides."""
+    x, y = generate_gaussian_pair(n, n, seed)
+    return pairwise_euclidean(x, y, normalize=True), DiscreteMeasure(np.full(n, 1.0 / n))
 
 
 def solve_random(seed, n, m, n_b, m_b, pg_tol=1e-8, **kwargs):
@@ -206,23 +216,31 @@ class TestRobustness:
         assert not report.converged
 
     def test_solve_evaluates_once_per_counted_point(self, monkeypatch):
-        # one evaluate() call per evaluation the report counts, and neither
-        # objective() nor gradient() on the solve path
-        calls = []
+        # each counted evaluation is one sweep's pair of products with M, and
+        # neither minimize() nor objective() or gradient() is on the solve path
+        products = []
+
+        class CountedMatrix(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(method)
+                inputs = tuple(np.asarray(x) for x in inputs)
+                return getattr(ufunc, method)(*inputs, **kwargs)
 
         def counted(*args):
-            calls.append(args)
-            return evaluate(*args)
+            p = build_problem(*args)
+            return dataclasses.replace(p, matrix=p.matrix.view(CountedMatrix))
 
         def unused(*args):
-            raise AssertionError("objective() or gradient() called on the solve path")
+            raise AssertionError("an L-BFGS-B path function called on the solve path")
 
-        monkeypatch.setattr(algorithm, "evaluate", counted)
-        monkeypatch.setattr(algorithm, "objective", unused)
-        monkeypatch.setattr(algorithm, "gradient", unused)
+        monkeypatch.setattr(algorithm, "build_problem", counted)
+        for name in ("minimize", "objective", "gradient"):
+            monkeypatch.setattr(algorithm, name, unused)
         report = solve_random(21, 7, 7, 7, 7).solver_report
-        assert report.iterations > 0
-        assert len(calls) == report.evaluations
+        assert report.iterations > 1
+        assert report.evaluations == report.iterations
+        assert len(products) == 2 * report.evaluations
 
     def test_infeasible_bounds_named_step(self):
         mu, nu, C, _ = random_instance(1, 6, 5)
@@ -263,6 +281,17 @@ class TestRobustness:
         assert np.all(res.plan.entries >= 0.0)
         assert res.solver_report.solution.size == sr.n_active + sr.m_active
 
+    def test_tiny_eta_converges(self):
+        # at eta = 0.002 kappa is about 4e-24, so nu_J / kappa is about 2.5e20;
+        # L-BFGS-B stopped `abnormal` here with a projected gradient of 6.8e37,
+        # and the clipped sweeps converge (to 3.9e-27, in one sweep)
+        n = 1000
+        C, mu = gaussian_instance(n, 11)
+        n_b, m_b = decimation_to_budget(n, n, 0.1)
+        report = screenkhorn(C, 0.002, mu, mu, n_b, m_b, materialize_plan=False).solver_report
+        assert report.converged
+        assert report.stop_reason == "pg_tolerance"
+
     @pytest.mark.xfail(
         strict=True,
         raises=InfeasibleBoundsError,
@@ -275,6 +304,50 @@ class TestRobustness:
         res = solve_random(26576357, 6, 6, 2, 2)
         assert np.isfinite(res.potentials.u).all()
         assert np.isfinite(res.potentials.v).all()
+
+
+def two_dimensional_arrays(obj, path="result"):
+    """The paths of the 2-D arrays that obj holds, through dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.ndim == 2 else []
+    if dataclasses.is_dataclass(obj):
+        return [
+            found
+            for f in dataclasses.fields(obj)
+            for found in two_dimensional_arrays(getattr(obj, f.name), f"{path}.{f.name}")
+        ]
+    return []
+
+
+class TestMemory:
+    def test_full_layout_solve_allocates_one_kernel(self, monkeypatch):
+        # budget 0.9 on 1000 x 1000 takes the full layout, where M is K
+        # itself: a result or report that held an n x m array would keep the
+        # 8 MB kernel alive, and a solve that allocated one would lift the
+        # peak past one kernel plus vectors
+        n = 1000
+        C, mu = gaussian_instance(n, 3)
+        n_b, m_b = decimation_to_budget(n, n, 0.9)
+        on_k = []
+
+        def recorded(mu, nu, K, sr):
+            p = build_problem(mu, nu, K, sr)
+            on_k.append(p.matrix is K.entries)
+            return p
+
+        monkeypatch.setattr(algorithm, "build_problem", recorded)
+        tracemalloc.start()
+        try:
+            res = screenkhorn(C, 1.0, mu, mu, n_b, m_b, materialize_plan=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert on_k == [True]
+        assert peak < 2 * n * n * 8
+        assert two_dimensional_arrays(res) == []
+        # the walk does find the one n x m field a result may hold
+        planned = screenkhorn(C, 1.0, mu, mu, n_b, m_b)
+        assert two_dimensional_arrays(planned) == ["result.plan.entries"]
 
 
 class TestTransposition:

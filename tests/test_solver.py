@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from screenkhorn import (
     Budget,
+    InfeasibleBoundsError,
     InputError,
     ParameterError,
     ShapeError,
@@ -30,17 +31,17 @@ from screenkhorn import DiscreteMeasure, decimation_to_budget
 from screenkhorn.bench import generate_gaussian_pair, pairwise_euclidean
 from screenkhorn.core import gibbs_kernel
 from screenkhorn.solver import _HISTORY_SIZE, _MAX_EVALUATIONS, projected_gradient
-from screenkhorn.screened import _compact_layout, _full_layout, gradient, objective
+from screenkhorn.screened import _compact_layout, _full_layout, evaluate, gradient, objective
 from conftest import fg, random_instance
 from oracle import oracle_solve
 
 
-def screened_setup(seed, n, m, n_b, m_b):
+def screened_setup(seed, n, m, n_b, m_b, layout=build_problem):
     mu, nu, _, K = random_instance(seed, n, m)
     xi, zeta = ratio_vectors(mu, nu, K)
     eps, kap = epsilon_kappa(xi, zeta, Budget(n_b, m_b))
     sr = active_sets(mu, nu, K, eps, kap)
-    p = build_problem(mu, nu, K, sr)
+    p = layout(mu, nu, K, sr)
     bb = box_bounds(p, Budget(n_b, m_b))
     return p, bb
 
@@ -544,8 +545,10 @@ class TestSetulbDrive:
         eps, kap = epsilon_kappa(xi, zeta, budget)
         p = build_problem(mu, nu, K, active_sets(mu, nu, K, eps, kap))
         lower, upper = box_bounds(p, budget).stacked(p.n_active, p.m_active)
-        a, b = restricted_sinkhorn(p)
-        start = np.concatenate([np.log(a), np.log(b)])
+        # from the screening thresholds, which minimize clips into the box
+        start = np.concatenate([
+            np.full(p.n_active, np.log(p.row_fill)), np.full(p.m_active, np.log(p.col_fill))
+        ])
         f, g = stacked_calls(p)
         config = SolverConfig()
         report = minimize(fg(f, g), lower, upper, start, config)
@@ -605,12 +608,24 @@ class TestLoadLbfgsb:
         assert str(tmp_path) in str(info.value)
 
 
+def clipped_sweep_setup(seed, n, m, n_b, m_b, layout=build_problem):
+    """screened_setup for a Hypothesis draw, which is rejected when its box
+    is empty (ROADMAP item 3)."""
+    try:
+        return screened_setup(seed, n, m, n_b, m_b, layout)
+    except InfeasibleBoundsError:
+        reject()
+
+
+# a tolerance no sweep meets before its cap, so the cap fixes the sweep count
+NEVER = 1e-300
+
+
 class TestRestrictedSinkhorn:
     def test_flat_cost_fixed_point(self):
-        # 2x2 zero cost, uniform weights, full budget: the scaling pair
-        # lands on (0.5, 0.5) after one sweep and stays there through the
-        # other two, giving the uniform quarter plan
-        mu, nu, _, K = random_instance(0, 2, 2)
+        # 2x2 unit kernel, uniform weights, full budget: from a = row_fill =
+        # 0.5 the first sweep sets b = (0.5, 0.5), where the u gradient is
+        # zero, so the solve stops there with the uniform quarter plan
         import screenkhorn as sk
 
         one_half = np.array([0.5, 0.5])
@@ -623,7 +638,10 @@ class TestRestrictedSinkhorn:
         p = build_problem(
             measure, measure, kernel, active_sets(measure, measure, kernel, eps, kap)
         )
-        a, b = restricted_sinkhorn(p)
+        report = restricted_sinkhorn(p, box_bounds(p, Budget(2, 2)))
+        assert report.converged and report.stop_reason == "pg_tolerance"
+        assert report.iterations == report.evaluations == 1
+        a, b = np.exp(report.solution[:2]), np.exp(report.solution[2:])
         np.testing.assert_allclose(a, one_half, rtol=1e-15)
         np.testing.assert_allclose(b, one_half, rtol=1e-15)
         plan = a[:, None] * p.matrix[np.ix_(p.rows, p.cols)] * b[None, :]
@@ -631,17 +649,20 @@ class TestRestrictedSinkhorn:
 
     def test_full_budget_matches_plain_half_sweeps(self):
         # with empty complements no position of M holds a fill and each sweep
-        # is a textbook scaling update on the whole kernel
-        p, _ = screened_setup(5, 6, 5, 6, 5)
+        # is a textbook scaling update on the whole kernel, clipped into the box
+        p, bb = screened_setup(5, 6, 5, 6, 5)
         assert p.matrix.shape == (p.n_active, p.m_active)
         kernel_block = p.matrix[np.ix_(p.rows, p.cols)]
-        a, b = restricted_sinkhorn(p)
-        ar = np.full(p.n_active, p.row_fill)
-        for _ in range(3):
-            br = p.nu_active / (p.kappa * (kernel_block.T @ ar))
-            ar = p.kappa * p.mu_active / (kernel_block @ br)
-        np.testing.assert_allclose(a, ar, rtol=1e-15)
-        np.testing.assert_allclose(b, br, rtol=1e-15)
+        report = restricted_sinkhorn(p, bb, SolverConfig(pg_tolerance=NEVER, max_iterations=3))
+        assert report.iterations == 3 and report.stop_reason == "max_iterations"
+        u = np.full(p.n_active, np.clip(np.log(p.row_fill), bb.u_lower, bb.u_upper))
+        for sweep in range(3):
+            if sweep:
+                mb = kernel_block @ np.exp(v)
+                u = np.clip(np.log(p.kappa * p.mu_active / mb), bb.u_lower, bb.u_upper)
+            ta = kernel_block.T @ np.exp(u)
+            v = np.clip(np.log(p.nu_active / (p.kappa * ta)), bb.v_lower, bb.v_upper)
+        np.testing.assert_allclose(report.solution, np.concatenate([u, v]), rtol=1e-15)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
@@ -649,43 +670,92 @@ class TestRestrictedSinkhorn:
         m_b=st.integers(min_value=1, max_value=5),
     )
     def test_output_stays_positive(self, seed, n_b, m_b):
-        mu, nu, _, K = random_instance(seed, 6, 5)
-        xi, zeta = ratio_vectors(mu, nu, K)
-        eps, kap = epsilon_kappa(xi, zeta, Budget(n_b, m_b))
-        p = build_problem(mu, nu, K, active_sets(mu, nu, K, eps, kap))
-        a, b = restricted_sinkhorn(p)
-        assert np.all(a > 0.0)
-        assert np.all(b > 0.0)
+        # the scalings e^u and e^v are positive: the potentials are finite
+        # and inside the box
+        p, bb = clipped_sweep_setup(seed, 6, 5, n_b, m_b)
+        lower, upper = bb.stacked(p.n_active, p.m_active)
+        report = restricted_sinkhorn(p, bb)
+        assert np.all(np.isfinite(report.solution))
+        assert np.all((report.solution >= lower) & (report.solution <= upper))
+        assert np.all(np.exp(report.solution) > 0.0)
 
     @pytest.mark.parametrize("layout", [_compact_layout, _full_layout])
     def test_three_sweeps_from_the_row_fill(self, layout):
-        # the warm start, pinned bitwise on both layouts to three scaling
-        # sweeps written out from a at the rows' threshold value, each sweep
-        # setting b from a and then a from b
-        mu, nu, _, K = random_instance(41, 9, 7)
-        xi, zeta = ratio_vectors(mu, nu, K)
-        eps, kap = epsilon_kappa(xi, zeta, Budget(5, 4))
-        p = layout(mu, nu, K, active_sets(mu, nu, K, eps, kap))
-        # screened rows and columns, so the fills enter every product
+        # the sweeps, pinned bitwise on both layouts to three clipped sweeps
+        # written out from u at the rows' threshold value clipped into the
+        # box, each sweep setting v from u and then, but for the last, u
+        # from v
+        p, bb = screened_setup(41, 9, 7, 6, 5, layout)
+        # screened rows and columns, so the fills enter every product, and
+        # free coordinates, so the sweeps move
         assert p.n_active < 9 and p.m_active < 7
+        lower, upper = bb.stacked(p.n_active, p.m_active)
         a_hat = np.full(p.matrix.shape[0], p.row_fill)
         b_hat = np.full(p.matrix.shape[1], p.col_fill)
-        a = np.full(p.n_active, p.row_fill)
-        a_hat[p.rows] = a
-        b = p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols])
-        b_hat[p.cols] = b
-        a = p.kappa * p.mu_active / (p.matrix @ b_hat)[p.rows]
-        a_hat[p.rows] = a
-        b = p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols])
-        b_hat[p.cols] = b
-        a = p.kappa * p.mu_active / (p.matrix @ b_hat)[p.rows]
-        a_hat[p.rows] = a
-        b = p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols])
-        b_hat[p.cols] = b
-        a = p.kappa * p.mu_active / (p.matrix @ b_hat)[p.rows]
-        got_a, got_b = restricted_sinkhorn(p)
-        np.testing.assert_array_equal(got_a, a)
-        np.testing.assert_array_equal(got_b, b)
+        u = np.full(p.n_active, np.clip(np.log(p.row_fill), bb.u_lower, bb.u_upper))
+        a_hat[p.rows] = np.exp(u)
+        v = np.log(p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols]))
+        v = np.clip(v, bb.v_lower, bb.v_upper)
+        b_hat[p.cols] = np.exp(v)
+        u = np.log(p.kappa * p.mu_active / (p.matrix @ b_hat)[p.rows])
+        u = np.clip(u, bb.u_lower, bb.u_upper)
+        a_hat[p.rows] = np.exp(u)
+        v = np.log(p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols]))
+        v = np.clip(v, bb.v_lower, bb.v_upper)
+        b_hat[p.cols] = np.exp(v)
+        u = np.log(p.kappa * p.mu_active / (p.matrix @ b_hat)[p.rows])
+        u = np.clip(u, bb.u_lower, bb.u_upper)
+        a_hat[p.rows] = np.exp(u)
+        v = np.log(p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols]))
+        v = np.clip(v, bb.v_lower, bb.v_upper)
+        got = restricted_sinkhorn(p, bb, SolverConfig(pg_tolerance=NEVER, max_iterations=3))
+        assert got.iterations == 3 and got.stop_reason == "max_iterations"
+        np.testing.assert_array_equal(got.solution, np.concatenate([u, v]))
+        assert np.any((got.solution > lower) & (got.solution < upper))
+
+
+class TestClippedSweepsAgainstOracle:
+    """The sweeps reach the box-constrained optimum that tests/oracle.py's
+    projected gradient method finds, on both layouts, and their report is
+    evaluate() at the returned point."""
+
+    @staticmethod
+    def check(p, bb, tol=1e-10):
+        lower, upper = bb.stacked(p.n_active, p.m_active)
+        report = restricted_sinkhorn(p, bb, SolverConfig(pg_tolerance=tol))
+        assert report.converged and report.stop_reason == "pg_tolerance"
+        k = p.n_active
+        value, grad = evaluate(p, report.solution[:k], report.solution[k:])
+        # the same objective expression from the same products
+        assert report.objective_value == value
+        pg = np.abs(projected_gradient(report.solution, grad, lower, upper))
+        # the v block was just set to its exact minimizer; evaluate() sees
+        # its projected gradient as rounding of the gradient's terms
+        v_rounding = 1e-14 * float(np.max(p.nu_active)) / p.kappa
+        assert pg[:k].max() == report.projected_gradient_inf_norm
+        assert pg[k:].max() <= max(v_rounding, report.projected_gradient_inf_norm)
+        oracle_point = oracle_solve(p, lower, upper)
+        oracle_value = objective(p, oracle_point[:k], oracle_point[k:])
+        assert abs(report.objective_value - oracle_value) <= 1e-9 * max(1.0, abs(oracle_value))
+        at_bound = (oracle_point <= lower) | (oracle_point >= upper)
+        return report, int(at_bound.sum())
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        n_b=st.integers(min_value=1, max_value=6),
+        m_b=st.integers(min_value=1, max_value=5),
+        layout=st.sampled_from([_compact_layout, _full_layout]),
+    )
+    def test_random_instances(self, seed, n_b, m_b, layout):
+        p, bb = clipped_sweep_setup(seed, 6, 5, n_b, m_b, layout)
+        self.check(p, bb)
+
+    @pytest.mark.parametrize("layout", [_compact_layout, _full_layout])
+    def test_coordinates_at_their_bounds(self, layout):
+        p, bb = clipped_sweep_setup(13, 7, 6, 3, 2, layout)
+        _, at_bound = self.check(p, bb)
+        assert at_bound > 0
 
 
 class TestScreenedDualSolve:
