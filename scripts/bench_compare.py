@@ -13,8 +13,10 @@ For each workload it runs `perfbench/run.py --trace 0` in both checkouts,
 --pairs times each, alternating which side goes first, with the run length
 that BENCHMARK.json fixes. Then it runs `--trace 1` once per side. The JSON
 holds, per workload and end-to-end metric, each side's runs, median and
-quartiles, how many pairs the change won (ties count for neither side), and
-whether the difference is a gain or a regression by the benchmark's rules;
+quartiles, how many pairs the change won (ties count for neither side),
+whether the difference is a gain or a regression by the benchmark's rules,
+and whether it is unresolved: the parent's interquartile range exceeds the
+bound and not every change run reads better than every parent run;
 the per-layer medians of the traced runs; every run's failure count and
 failing checks; and each side's host line.
 """
@@ -82,6 +84,9 @@ def compare(parent: list[float], change: list[float], lower_is_better: bool, bou
     wins = sum(1 for a, b in zip(parent, change) if sign * (a - b) > 0)
     losses = sum(1 for a, b in zip(parent, change) if sign * (a - b) < 0)
     gain_by = sign * (p["median"] - c["median"])
+    # when the parent's own runs spread wider than the bound, a median within
+    # it shows nothing, unless every change run reads better than every parent run
+    beats_every_run = max(sign * v for v in change) < min(sign * v for v in parent)
     return {
         "parent": p,
         "change": c,
@@ -90,6 +95,7 @@ def compare(parent: list[float], change: list[float], lower_is_better: bool, bou
         "median_ratio": c["median"] / p["median"] if p["median"] else None,
         "gain": wins >= 0.9 * len(parent) and gain_by > p["q3"] - p["q1"],
         "regression": -gain_by > bound * abs(p["median"]),
+        "unresolved": p["q3"] - p["q1"] > bound * abs(p["median"]) and not beats_every_run,
     }
 
 

@@ -185,6 +185,9 @@ def compare_solvers(
 
     row_violation, col_violation = marginal_violations(screened, mu, nu)
     cost_star = divergence(baseline.potentials, K, C)
+    # the relative divergence divides by the baseline's cost, 0 on an all-zero cost
+    if not cost_star > 0.0:
+        raise DegenerateCostError(f"baseline cost {cost_star}: no relative divergence")
     cost_screen = divergence(screened.potentials, K, C)
     rel_divergence = abs(cost_star - cost_screen) / cost_star
 
@@ -321,14 +324,14 @@ def cell_means_table(rows: Iterable[ResultRow]) -> list[str]:
         got = [r for r in cell if r.converged]
         conv = f"{len(got)}/{len(cell)}"
         if not got:
-            lines.append(f"{eta:6.2f} {budget:7.2f} {'none converged':>36} {conv:>7}")
+            lines.append(f"{eta:>6g} {budget:>7g} {'none converged':>36} {conv:>7}")
             continue
         mean = {
             name: float(np.mean([getattr(r, name) for r in got]))
             for name in ("speedup", "row_violation", "col_violation", "rel_divergence")
         }
         lines.append(
-            f"{eta:6.2f} {budget:7.2f} {mean['speedup']:8.3f} "
+            f"{eta:>6g} {budget:>7g} {mean['speedup']:8.3f} "
             f"{mean['row_violation']:9.4f} {mean['col_violation']:9.4f} "
             f"{mean['rel_divergence']:8.4f} {conv:>7}"
         )

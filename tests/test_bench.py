@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from screenkhorn import (
+    CostMatrix,
     DegenerateCostError,
     DiscreteMeasure,
     DualSolution,
@@ -203,6 +204,13 @@ class TestCompareSolvers:
         outcome = compare_solvers(C, 1.0, mu, nu, 7, 6, solver_config=cfg)
         assert outcome.baseline.converged
         assert not outcome.converged
+
+    def test_zero_baseline_cost_is_degenerate(self):
+        # every cost entry zero: the baseline plan costs 0, and the relative
+        # divergence has nothing to divide by
+        mu, nu, C, _ = random_instance(4, 6, 5)
+        with pytest.raises(DegenerateCostError, match="baseline cost 0.0"):
+            compare_solvers(CostMatrix(np.zeros((6, 5))), 1.0, mu, nu, 3, 3)
 
 
 class TestCertifyOutcome:
@@ -444,13 +452,19 @@ class TestBenchCompareScript:
     """scripts/bench_compare.py summarizes each side's runs by quartiles, which
     need two runs; fewer pairs must be refused before any run starts."""
 
-    def test_one_pair_exits_at_parse_time(self, tmp_path, monkeypatch, capsys):
-        root = Path(__file__).resolve().parent.parent
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def script(self):
         spec = importlib.util.spec_from_file_location(
-            "bench_compare", root / "scripts" / "bench_compare.py"
+            "bench_compare", self.ROOT / "scripts" / "bench_compare.py"
         )
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_one_pair_exits_at_parse_time(self, tmp_path, monkeypatch, capsys):
+        root = self.ROOT
+        script = self.script()
 
         def no_runs(*args, **kwargs):
             raise AssertionError("a benchmark run started")
@@ -465,3 +479,23 @@ class TestBenchCompareScript:
         assert exit_info.value.code == 2
         assert "--pairs must be at least 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "parent, change, lower_is_better, unresolved",
+        [
+            # parent quartiles 9.5 and 10.5, wider than the bound's 0.05 * 10
+            ([8.0, 10.0, 10.0, 12.0], [9.5, 9.5, 10.0, 10.5], True, True),
+            # every change run below every parent run
+            ([8.0, 10.0, 10.0, 12.0], [7.0, 7.5, 7.5, 7.9], True, False),
+            # for a metric where higher is better, every change run above
+            ([8.0, 10.0, 10.0, 12.0], [12.1, 13.0, 13.0, 14.0], False, False),
+            ([8.0, 10.0, 10.0, 12.0], [7.0, 7.5, 7.5, 7.9], False, True),
+            # parent quartiles within the bound
+            ([9.9, 10.0, 10.0, 10.1], [10.5, 10.5, 10.5, 10.5], True, False),
+        ],
+    )
+    def test_unresolved_when_parent_spread_exceeds_bound(
+        self, parent, change, lower_is_better, unresolved
+    ):
+        verdict = self.script().compare(parent, change, lower_is_better, 0.05)
+        assert verdict["unresolved"] is unresolved

@@ -245,6 +245,17 @@ class TestCompareCommand:
         assert "certificates skipped" in result.output
         assert "certificate box-containment" not in result.output
 
+    def test_zero_cost_exits_one(self, runner, instance_files, tmp_path):
+        zeros = str(tmp_path / "zeros.csv")
+        write_matrix(zeros, np.zeros((6, 6)))
+        result = runner.invoke(
+            main,
+            ["compare", "--measures", instance_files["measures"],
+             "--cost", zeros, "--eta", "1.0"],
+        )
+        assert result.exit_code == 1, result.output
+        assert "baseline cost 0.0: no relative divergence" in result.output
+
 
 class TestRunCommand:
     def test_tiny_sweep_writes_csv(self, runner, tmp_path):
@@ -276,7 +287,7 @@ class TestRunCommand:
         )
         cells = [line.split() for line in lines[header + 1 :]]
         assert [c[:2] for c in cells] == [
-            ["1.00", "0.40"], ["1.00", "0.80"], ["0.50", "0.40"], ["0.50", "0.80"]
+            ["1", "0.4"], ["1", "0.8"], ["0.5", "0.4"], ["0.5", "0.8"]
         ]
         rows = [r.split(",") for r in open(out).read().strip().split("\n")[1:]]
         col = RESULT_COLUMNS.index
@@ -288,6 +299,15 @@ class TestRunCommand:
             ):
                 want = np.mean([float(r[col(name)]) for r in pair])
                 assert float(value) == pytest.approx(want, abs=6e-4 * max(1.0, abs(want)))
+        # small etas keep distinct labels
+        result = runner.invoke(
+            main,
+            ["run", "--n", "10", "--m", "10", "--eta", "0.004,0.002",
+             "--budget", "0.4", "--trials", "1", "--seed", "3", "--out", out],
+        )
+        assert result.exit_code == 0, result.output
+        lines = result.output.strip().split("\n")
+        assert [line.split()[:2] for line in lines[-2:]] == [["0.004", "0.4"], ["0.002", "0.4"]]
 
     def test_budget_range_spec(self, runner, tmp_path):
         out = str(tmp_path / "sweep.csv")

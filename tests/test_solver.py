@@ -23,7 +23,6 @@ from screenkhorn import (
     ratio_vectors,
     restricted_sinkhorn,
 )
-import scipy.optimize
 from scipy.optimize import fmin_l_bfgs_b
 
 import screenkhorn.solver
@@ -391,21 +390,8 @@ def assert_matches_scipy(report, expected):
 
 
 class TestSetulbDrive:
-    """minimize() drives SciPy's private L-BFGS-B routine; SciPy's public
-    wrapper around the same routine is the oracle."""
-
-    def test_setulb_argument_list(self):
-        # minimize passes these arguments by position; a SciPy release that
-        # changes them must fail here rather than inside a solve
-        setulb = screenkhorn.solver.setulb
-        assert setulb.__doc__.splitlines()[0] == (
-            "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,"
-            "maxls,ln_task)"
-        )
-        # the routine the solve calls is the one in SciPy's optimize folder
-        module_file = Path(setulb.__self__.__file__)
-        assert module_file.parent == Path(scipy.optimize.__file__).parent
-        assert module_file.name.startswith("_lbfgsb.")
+    """minimize() runs SciPy's public L-BFGS-B wrapper behind its own start
+    evaluation and recheck; the wrapper called directly is the oracle."""
 
     @staticmethod
     def coupled_quadratic(seed, dim):
@@ -561,8 +547,8 @@ class TestSetulbDrive:
 
 
 class TestLoadLbfgsb:
-    """The solver loads SciPy's compiled L-BFGS-B module from its file, and
-    never the scipy.optimize package around it."""
+    """minimize() imports scipy.optimize on its first call; importing the
+    package or running a screened solve never does."""
 
     @staticmethod
     def fresh_interpreter(code):
@@ -579,33 +565,26 @@ class TestLoadLbfgsb:
 
     def test_import_leaves_scipy_optimize_out(self):
         # this test module imports scipy.optimize itself, so only a fresh
-        # interpreter can show that the library does not
+        # interpreter can show that the library does not, and that
+        # minimize's first call does
         out = self.fresh_interpreter(
             "import sys\n"
+            "import numpy as np\n"
             "import screenkhorn, screenkhorn.cli\n"
+            "from screenkhorn.bench import compare_solvers, generate_gaussian_pair, "
+            "pairwise_euclidean\n"
+            "x, y = generate_gaussian_pair(20, 20, 5)\n"
+            "w = screenkhorn.DiscreteMeasure(np.full(20, 0.05))\n"
+            "outcome = compare_solvers(pairwise_euclidean(x, y, True), 1.0, w, w, 10, 10)\n"
+            "print(outcome.converged)\n"
             "print([k for k in sys.modules if k.startswith('scipy.optimize')])\n"
+            "c = np.array([0.3, -2.0, 0.5])\n"
+            "report = screenkhorn.minimize(\n"
+            "    lambda x: (float((x - c) @ (x - c)), 2.0 * (x - c)),\n"
+            "    np.full(3, -1.0), np.full(3, 1.0), np.zeros(3))\n"
+            "print(report.converged, report.stop_reason, 'scipy.optimize' in sys.modules)\n"
         )
-        assert out.strip() == "[]"
-
-    @pytest.mark.parametrize(
-        "first, second",
-        [("scipy.optimize", "screenkhorn.solver"), ("screenkhorn.solver", "scipy.optimize")],
-    )
-    def test_scipy_optimize_keeps_its_own_import(self, first, second):
-        # whichever is imported first, scipy.optimize's _lbfgsb is bound on
-        # the package, registered under its name, and holds the same routine
-        out = self.fresh_interpreter(
-            f"import sys\nimport {first}\nimport {second}\n"
-            "module = scipy.optimize._lbfgsb\n"
-            "print(sys.modules['scipy.optimize._lbfgsb'] is module,\n"
-            "      screenkhorn.solver.setulb is module.setulb)\n"
-        )
-        assert out.split() == ["True", "True"]
-
-    def test_missing_module_names_the_folder(self, tmp_path):
-        with pytest.raises(ImportError, match="_lbfgsb") as info:
-            screenkhorn.solver._load_lbfgsb(tmp_path)
-        assert str(tmp_path) in str(info.value)
+        assert out.splitlines() == ["True", "[]", "True pg_tolerance True"]
 
 
 def clipped_sweep_setup(seed, n, m, n_b, m_b, layout=build_problem):
