@@ -15,6 +15,19 @@ b_J * (K^T a_hat)_J - nu_J / kappa on the columns. Evaluating the problem on
 (u, v) embedded back into full vectors (thresholds on the complements)
 reproduces the full constrained dual exactly; tests rely on that identity.
 
+kappa is the paper's: it balances the row and column thresholds so that
+one epsilon serves both sides, and it scales the dual's linear terms. It is
+not what limits the screened answer's accuracy. A prototype kept the
+active sets that screening picks, held the screened u and v at
+log sqrt(xi_{n_b}) and log sqrt(zeta_{m_b}), and solved the plain dual
+(kappa = 1) to a projected gradient of 1e-9, with and without lower bounds.
+On one Gaussian instance (n = m = 1000, budgets 0.1 / 0.5 / 0.9), its cost
+error after rounding onto the marginal polytope (Altschuler, Weed &
+Rigollet 2017) was 4.7e-3 / 3.7e-3 / 1.6e-3 at eta = 0.1 and 3.6e-2 /
+3.6e-2 / 2.0e-2 at eta = 0.02, against this problem's 4.5e-3 / 3.5e-3 /
+3.2e-3 and 3.6e-2 / 3.7e-2 / 2.9e-2. Holding the screened potentials
+constant is what limits accuracy, with kappa = 1 as with the paper's kappa.
+
 A ScreenedDualProblem holds one matrix M that gives the same two products,
 the positions of the active rows and columns in M, and the fills alpha and
 beta, which a_hat and b_hat take at every other position. There are two
@@ -95,6 +108,9 @@ class ScreenedDualProblem:
     kappa: float
     mu_active: np.ndarray
     nu_active: np.ndarray
+    # r_I, the kernel's row sums at the active rows: (M b_hat)_I is
+    # col_fill * r_I when every b_hat entry is col_fill, on either layout
+    row_sums_active: np.ndarray
     k_min: float
     n: int
     m: int
@@ -278,6 +294,7 @@ def _problem(
         kappa=kap,
         mu_active=mu.weights[sr.active_rows],
         nu_active=nu.weights[sr.active_cols],
+        row_sums_active=K.row_sums[sr.active_rows],
         k_min=float(k_min),
         n=n,
         m=m,

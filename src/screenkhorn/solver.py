@@ -10,8 +10,9 @@ projected gradient already meets the tolerance. Otherwise it runs SciPy's
 public L-BFGS-B wrapper, fmin_l_bfgs_b (Byrd, Lu, Nocedal & Zhu 1995), with
 factr=0, so that the f-decrease test fires only on a step that lowers f by
 nothing, and the projected-gradient tolerance and the two caps are the live
-stops. It then rechecks the returned point itself: `converged` comes from our own projected-gradient norm rather than
-the routine's status, and `evaluations` counts distinct evaluated points.
+stops. It then rechecks the returned point itself: `converged` comes from
+our own projected-gradient norm rather than the routine's status, and
+`evaluations` counts distinct evaluated points.
 
 minimize() is the one thing this package takes from SciPy, and it imports
 scipy.optimize on its first call. That import pulls in scipy.linalg,
@@ -107,10 +108,20 @@ def restricted_sinkhorn(
     nondifferentiable minimization"); unclipped and unscreened, it is
     Sinkhorn's loop.
 
-    u starts at row_fill, the value screening holds the screened rows at,
-    clipped into the u box. Each sweep sets v from u, tests the point (u, v),
-    and unless it stops there sets u from v. The sweep's two products serve
-    the test too: M b_hat, which sets u, gives the u gradient
+    u starts at its block's exact minimizer with every v at its fill: the
+    loop's own u update with b_hat = col_fill everywhere, where
+    (M b_hat)_I = col_fill r_I on either layout, r_I being the active rows'
+    cached kernel sums. The start therefore costs no product, and, as
+    kappa mu_I / (eps kappa r_I) = xi_I / eps, it is clip(log(xi_I / eps)),
+    screening's ratio vector xi = mu / r(K) scaled by 1/eps: Sinkhorn's first
+    half-sweep from b = 1 (Cuturi 2013). Block coordinate descent converges
+    from any start inside the box; on the full-budget benchmark instance
+    (n = m = 1000, eta 1, budget 0.99) this one reaches pg_tolerance 1e-6 in
+    1 sweep, where row_fill clipped into the box took 5.
+
+    Each sweep sets v from u, tests the point (u, v), and unless it stops
+    there sets u from v. The sweep's two products serve the test too:
+    M b_hat, which sets u, gives the u gradient
     a * (M b_hat)_I - kappa mu_I and, with a_hat, the objective. v was just
     set to its block's exact minimizer, so its projected gradient is zero,
     and the projected gradient over both blocks is the u block's. (Computed
@@ -124,10 +135,10 @@ def restricted_sinkhorn(
         config = SolverConfig()
     kappa_mu = p.kappa * p.mu_active
     u_lo, u_hi, v_lo, v_hi = bounds.u_lower, bounds.u_upper, bounds.v_lower, bounds.v_upper
-    u = np.full(p.n_active, np.clip(np.log(p.row_fill), u_lo, u_hi))
     # a product that underflows to 0 or overflows sends its coordinate to the
     # box's edge through log's +-inf; a non-finite gradient is refused below
     with np.errstate(divide="ignore", over="ignore"):
+        u = np.clip(np.log(kappa_mu / (p.col_fill * p.row_sums_active)), u_lo, u_hi)
         for sweeps in range(1, config.max_iterations + 1):
             a = np.exp(u)
             a_hat = p.row_vector(a)

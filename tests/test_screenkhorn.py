@@ -37,6 +37,16 @@ def gaussian_instance(n, seed):
     return pairwise_euclidean(x, y, normalize=True), DiscreteMeasure(np.full(n, 1.0 / n))
 
 
+# the instances test_random_budgets_round_trip drew whose box is empty
+# (ROADMAP item 3)
+EMPTY_BOX = pytest.mark.xfail(
+    strict=True,
+    raises=InfeasibleBoundsError,
+    reason="the v upper bound divides by n * k_min with k_min taken over the "
+    "active block, and here n * k_min exceeds the column sums c_J",
+)
+
+
 def solve_random(seed, n, m, n_b, m_b, pg_tol=1e-8, **kwargs):
     mu, nu, C, _ = random_instance(seed, n, m)
     return screenkhorn(
@@ -292,16 +302,20 @@ class TestRobustness:
         assert report.converged
         assert report.stop_reason == "pg_tolerance"
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=InfeasibleBoundsError,
-        reason="the v upper bound divides by n * k_min with k_min taken over the "
-        "active block, and here n * k_min exceeds the column sums c_J",
-    )
+    @EMPTY_BOX
     def test_empty_box_drawn_by_round_trip(self):
         # the example test_random_budgets_round_trip once drew: the v box is
         # [log(eps*kappa), log(max nu_J / (n eps k_min))] = [-1.4716, -1.4820]
         res = solve_random(26576357, 6, 6, 2, 2)
+        assert np.isfinite(res.potentials.u).all()
+        assert np.isfinite(res.potentials.v).all()
+
+    @EMPTY_BOX
+    def test_second_empty_box_drawn_by_round_trip(self):
+        # a second such draw: n * k_min = 4.116 exceeds c_J = 3.874 and 3.883,
+        # so the v box is [-1.3684, -1.3844] (the u box [-1.4996, -1.3946]
+        # is nonempty)
+        res = solve_random(2507, 6, 6, 2, 2)
         assert np.isfinite(res.potentials.u).all()
         assert np.isfinite(res.potentials.v).all()
 

@@ -45,6 +45,20 @@ def screened_setup(seed, n, m, n_b, m_b, layout=build_problem):
     return p, bb
 
 
+def full_budget_setup(n, seed):
+    """screened_setup in the full-budget workload's regime: Gaussian clouds
+    of n points each, normalized Euclidean cost, eta 1, uniform weights,
+    budget 0.99."""
+    x, y = generate_gaussian_pair(n, n, seed)
+    mu = DiscreteMeasure(np.full(n, 1.0 / n))
+    K = gibbs_kernel(pairwise_euclidean(x, y, normalize=True), 1.0)
+    budget = Budget(*decimation_to_budget(n, n, 0.99))
+    xi, zeta = ratio_vectors(mu, mu, K)
+    eps, kap = epsilon_kappa(xi, zeta, budget)
+    p = build_problem(mu, mu, K, active_sets(mu, mu, K, eps, kap))
+    return p, box_bounds(p, budget)
+
+
 def stacked_calls(p):
     k = p.n_active
 
@@ -521,16 +535,8 @@ class TestSetulbDrive:
         assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
     def test_screened_full_budget_instance_matches_scipy(self):
-        # the full-budget workload's regime at n = m = 200: budget 0.99, eta 1
-        n = 200
-        x, y = generate_gaussian_pair(n, n, 4)
-        mu = nu = DiscreteMeasure(np.full(n, 1.0 / n))
-        K = gibbs_kernel(pairwise_euclidean(x, y, normalize=True), 1.0)
-        budget = Budget(*decimation_to_budget(n, n, 0.99))
-        xi, zeta = ratio_vectors(mu, nu, K)
-        eps, kap = epsilon_kappa(xi, zeta, budget)
-        p = build_problem(mu, nu, K, active_sets(mu, nu, K, eps, kap))
-        lower, upper = box_bounds(p, budget).stacked(p.n_active, p.m_active)
+        p, bb = full_budget_setup(200, 4)
+        lower, upper = bb.stacked(p.n_active, p.m_active)
         # from the screening thresholds, which minimize clips into the box
         start = np.concatenate([
             np.full(p.n_active, np.log(p.row_fill)), np.full(p.m_active, np.log(p.col_fill))
@@ -602,9 +608,10 @@ NEVER = 1e-300
 
 class TestRestrictedSinkhorn:
     def test_flat_cost_fixed_point(self):
-        # 2x2 unit kernel, uniform weights, full budget: from a = row_fill =
-        # 0.5 the first sweep sets b = (0.5, 0.5), where the u gradient is
-        # zero, so the solve stops there with the uniform quarter plan
+        # 2x2 unit kernel, uniform weights, full budget: from
+        # a = kappa mu / (col_fill r) = 0.5 / (0.5 * 2) = 0.5 the first sweep
+        # sets b = (0.5, 0.5), where the u gradient is zero, so the solve
+        # stops there with the uniform quarter plan
         import screenkhorn as sk
 
         one_half = np.array([0.5, 0.5])
@@ -634,14 +641,15 @@ class TestRestrictedSinkhorn:
         kernel_block = p.matrix[np.ix_(p.rows, p.cols)]
         report = restricted_sinkhorn(p, bb, SolverConfig(pg_tolerance=NEVER, max_iterations=3))
         assert report.iterations == 3 and report.stop_reason == "max_iterations"
-        u = np.full(p.n_active, np.clip(np.log(p.row_fill), bb.u_lower, bb.u_upper))
-        for sweep in range(3):
-            if sweep:
-                mb = kernel_block @ np.exp(v)
-                u = np.clip(np.log(p.kappa * p.mu_active / mb), bb.u_lower, bb.u_upper)
+        # the start is the u update from b = col_fill, whose product K b is
+        # col_fill times the kernel's row sums
+        mb = p.col_fill * p.row_sums_active
+        for _ in range(3):
+            u = np.clip(np.log(p.kappa * p.mu_active / mb), bb.u_lower, bb.u_upper)
             ta = kernel_block.T @ np.exp(u)
             v = np.clip(np.log(p.nu_active / (p.kappa * ta)), bb.v_lower, bb.v_upper)
-        np.testing.assert_allclose(report.solution, np.concatenate([u, v]), rtol=1e-15)
+            mb = kernel_block @ np.exp(v)
+        np.testing.assert_array_equal(report.solution, np.concatenate([u, v]))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
@@ -659,11 +667,11 @@ class TestRestrictedSinkhorn:
         assert np.all(np.exp(report.solution) > 0.0)
 
     @pytest.mark.parametrize("layout", [_compact_layout, _full_layout])
-    def test_three_sweeps_from_the_row_fill(self, layout):
+    def test_three_sweeps_from_the_u_block_minimizer(self, layout):
         # the sweeps, pinned bitwise on both layouts to three clipped sweeps
-        # written out from u at the rows' threshold value clipped into the
-        # box, each sweep setting v from u and then, but for the last, u
-        # from v
+        # written out from u at its block's exact minimizer with every v at
+        # its fill, clip(log(kappa mu_I / (col_fill r_I))), each sweep
+        # setting v from u and then, but for the last, u from v
         p, bb = screened_setup(41, 9, 7, 6, 5, layout)
         # screened rows and columns, so the fills enter every product, and
         # free coordinates, so the sweeps move
@@ -671,7 +679,8 @@ class TestRestrictedSinkhorn:
         lower, upper = bb.stacked(p.n_active, p.m_active)
         a_hat = np.full(p.matrix.shape[0], p.row_fill)
         b_hat = np.full(p.matrix.shape[1], p.col_fill)
-        u = np.full(p.n_active, np.clip(np.log(p.row_fill), bb.u_lower, bb.u_upper))
+        u = np.log(p.kappa * p.mu_active / (p.col_fill * p.row_sums_active))
+        u = np.clip(u, bb.u_lower, bb.u_upper)
         a_hat[p.rows] = np.exp(u)
         v = np.log(p.nu_active / (p.kappa * (a_hat @ p.matrix)[p.cols]))
         v = np.clip(v, bb.v_lower, bb.v_upper)
@@ -691,6 +700,27 @@ class TestRestrictedSinkhorn:
         assert got.iterations == 3 and got.stop_reason == "max_iterations"
         np.testing.assert_array_equal(got.solution, np.concatenate([u, v]))
         assert np.any((got.solution > lower) & (got.solution < upper))
+
+    @pytest.mark.parametrize("layout", [_compact_layout, _full_layout])
+    def test_start_product_is_the_cached_row_sums(self, layout):
+        # the start's product (M b_hat)_I at b_hat = col_fill everywhere is
+        # col_fill r_I on both layouts: M is K, or the compact block whose
+        # last column s adds the screened columns' share of each row sum
+        p, _ = screened_setup(41, 9, 7, 6, 5, layout)
+        assert p.n_active < 9 and p.m_active < 7
+        product = (p.matrix @ p.col_vector(np.full(p.m_active, p.col_fill)))[p.rows]
+        np.testing.assert_allclose(p.col_fill * p.row_sums_active, product, rtol=1e-14)
+
+    def test_full_budget_workload_converges_in_one_sweep(self):
+        # the full-budget benchmark workload's shape: n = m = 1000, eta 1,
+        # budget 0.99, uniform weights. From the row fill the sweeps took 5
+        # to reach the default tolerance; from the u block's minimizer at
+        # the column fill, which is screening's ratio vector xi_I / eps, the
+        # first sweep's point already meets it
+        p, bb = full_budget_setup(1000, 11)
+        report = restricted_sinkhorn(p, bb, SolverConfig(pg_tolerance=1e-6))
+        assert report.converged and report.stop_reason == "pg_tolerance"
+        assert report.iterations == 1
 
 
 class TestClippedSweepsAgainstOracle:
