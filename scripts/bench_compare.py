@@ -19,6 +19,11 @@ and whether it is unresolved: the parent's interquartile range exceeds the
 bound and not every change run reads better than every parent run;
 the per-layer medians of the traced runs; every run's failure count and
 failing checks; and each side's host line.
+
+It also records, per workload, each run's screen_ms_p50 divided by the same
+run's sinkhorn_ms_p50, and each side's median of that ratio. The ratio is
+informational and no verdict rests on it: it shows the screened solve's
+time net of drift that slows both solvers of a run alike.
 """
 
 from __future__ import annotations
@@ -99,6 +104,12 @@ def compare(parent: list[float], change: list[float], lower_is_better: bool, bou
     }
 
 
+def same_run_ratios(runs: list[dict]) -> dict:
+    """Each run's screen_ms_p50 over its own sinkhorn_ms_p50, and their median."""
+    ratios = [r["metrics"]["screen_ms_p50"] / r["metrics"]["sinkhorn_ms_p50"] for r in runs]
+    return {"runs": ratios, "median": statistics.median(ratios)}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -125,6 +136,9 @@ def main(argv=None) -> int:
         traced = {s: run_once(sides[s], workload, args.seed, seconds, 1) for s in sides}
         record["workloads"][workload] = {
             "end_to_end": metrics,
+            "screen_to_sinkhorn_p50": {
+                "informational": True, **{s: same_run_ratios(runs[s]) for s in runs}
+            },
             "runs": {s: [{k: v for k, v in r.items() if k != "metrics"} for r in runs[s]]
                      for s in runs},
             "trace": {s: {k: v for k, v in traced[s].items() if k != "host"} for s in sides},

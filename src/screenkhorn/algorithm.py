@@ -2,10 +2,16 @@
 clipped scaling sweeps (solver.restricted_sinkhorn), and reassembly of full
 potentials and the plan.
 
-Wall time covers everything from kernel construction through the reduced
-solve. Plan materialization and the marginal products happen outside the
-clock, so benchmark timings measure solver work rather than allocation of
-the n x m output.
+The plan's marginals come from the solve on the full layout, where the
+screened problem's matrix is K itself: the final sweep forms K b_hat and
+K^T a_hat at the returned point, and the report carries a_hat * (K b_hat)
+and b_hat * (K^T a_hat), so K is not read again for them. On the compact
+layout they are formed by one more pass over K (core._marginals).
+
+wall_time covers everything from kernel construction through the reduced
+solve and stops before the assembly: the compact layout's marginal pass and
+plan materialization fall outside it. Callers that time the whole call,
+as perfbench does, see the assembly too.
 """
 
 from __future__ import annotations
@@ -131,7 +137,12 @@ def screenkhorn(
         u_full[sr.active_rows] = report.solution[:k]
         v_full[sr.active_cols] = report.solution[k:]
         potentials = DualPotentials(u_full, v_full)
-        row_marginal, col_marginal = _marginals(K, np.exp(u_full), np.exp(v_full))
+        if problem.matrix is K.entries:
+            # the fills are eps/kappa and eps*kappa themselves rather than
+            # exp of their logs, so these differ from _marginals' by rounding
+            row_marginal, col_marginal = report.row_marginal, report.col_marginal
+        else:
+            row_marginal, col_marginal = _marginals(K, np.exp(u_full), np.exp(v_full))
         plan = plan_from_potentials(potentials, K) if materialize_plan else None
 
     return ScreenkhornResult(

@@ -34,7 +34,10 @@ beta, which a_hat and b_hat take at every other position. There are two
 layouts of M:
 
 - full: M is K itself and the positions are I and J. Nothing is gathered;
-  only k_min, the minimum of the active block K_IJ, is computed.
+  only k_min, the minimum of the active block K_IJ, is computed, by one
+  flat argmin of K when K's smallest entry lies in the block. The solve's
+  final sweep then forms K b_hat and K^T a_hat at the returned point, which
+  give the plan's marginals without another pass over K.
 - compact: M is the (|I| + 1) x (|J| + 1) matrix
 
       [ K_IJ  s      ]
@@ -65,7 +68,13 @@ products cover all of K. In `bench run --n 1000 --m 1000 --eta 1.0
 --budget 0.5:0.99:0.05 --trials 20`, run with each layout forced in turn,
 the compact layout was the faster one up to budget 0.80 (share 0.64), the
 two were level at 0.85 (share 0.72), and the full layout was the faster one
-from 0.90 (share 0.81) on. Hence _FULL_LAYOUT_SHARE = 0.7.
+from 0.90 (share 0.81) on. Hence _FULL_LAYOUT_SHARE = 0.7. That sweep
+timed `wall_time`, which stops before the assembly. Timing the whole call
+with each layout forced (n = m = 1000, eta 1, seed 11), the two were level
+near budget 0.7 while both layouts paid the assembly's marginal pass, and
+near budget 0.5 (share 0.25) once the full layout took its marginals from
+the solve. The share stays at 0.7 until a benchmark workload sits in that
+band to show the change (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -190,11 +199,16 @@ def build_problem(
 def _full_layout(
     mu: DiscreteMeasure, nu: DiscreteMeasure, K: GibbsKernel, sr: ScreeningResult
 ) -> ScreenedDualProblem:
-    """M = K; only k_min is computed, from the column minima over each run
-    of consecutive active rows, read in place (min is exact, so any order
+    """M = K; only k_min is computed. When K's smallest entry lies in the
+    active block it is the block's minimum, found by one flat argmin;
+    otherwise k_min comes from the column minima over each run of
+    consecutive active rows, read in place (min is exact, so either way
     gives the block minimum bit for bit)."""
     rows, cols = sr.active_rows, sr.active_cols
     km = K.entries
+    i, j = divmod(int(km.argmin()), km.shape[1])
+    if i in rows and j in cols:
+        return _problem(mu, nu, K, sr, km, rows, cols, km[i, j])
     # positions in rows where a run starts, and each run's first and last row
     starts = np.flatnonzero(np.diff(rows) != 1) + 1
     firsts = rows[np.r_[0, starts]]

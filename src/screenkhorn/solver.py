@@ -74,6 +74,13 @@ class SolverReport:
     # For the clipped sweeps, iterations and evaluations both count sweeps,
     # each one pair of products with M
     stop_reason: str
+    # the row and column sums of diag(a_hat) M diag(b_hat) at the returned
+    # point, a_hat * (M b_hat) and b_hat * (M^T a_hat), taken from the final
+    # sweep's two products at no further read of M. On the full layout
+    # (M = K) they are the plan's marginals, which the assembly then reads
+    # from here. minimize() forms no products and leaves both None
+    row_marginal: np.ndarray | None = None
+    col_marginal: np.ndarray | None = None
 
 
 def projected_gradient(
@@ -129,7 +136,10 @@ def restricted_sinkhorn(
     of exp(log(.)), which grows with nu_J / kappa: 1.6e6 at eta = 0.002,
     where nu_J / kappa is 2.5e20.) The run stops once that norm is at most
     pg_tolerance, or after max_iterations sweeps. The report's iterations
-    and evaluations both count sweeps, each one pair of products.
+    and evaluations both count sweeps, each one pair of products. The final
+    sweep's products, a_hat at the returned u times M b_hat and b_hat at the
+    returned v times M^T a_hat, are also the row and column sums of
+    diag(a_hat) M diag(b_hat) there, and the report carries them.
     """
     if config is None:
         config = SolverConfig()
@@ -142,9 +152,10 @@ def restricted_sinkhorn(
         for sweeps in range(1, config.max_iterations + 1):
             a = np.exp(u)
             a_hat = p.row_vector(a)
-            col_products = (a_hat @ p.matrix)[p.cols]
-            v = np.clip(np.log(p.nu_active / (p.kappa * col_products)), v_lo, v_hi)
-            mb = p.matrix @ p.col_vector(np.exp(v))
+            ma = a_hat @ p.matrix
+            v = np.clip(np.log(p.nu_active / (p.kappa * ma[p.cols])), v_lo, v_hi)
+            b_hat = p.col_vector(np.exp(v))
+            mb = p.matrix @ b_hat
             row_products = mb[p.rows]
             pg = projected_gradient(u, a * row_products - kappa_mu, u_lo, u_hi)
             pg_norm = float(np.abs(pg).max())
@@ -167,6 +178,8 @@ def restricted_sinkhorn(
         evaluations=sweeps,
         converged=converged,
         stop_reason="pg_tolerance" if converged else "max_iterations",
+        row_marginal=a_hat * mb,
+        col_marginal=b_hat * ma,
     )
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -499,3 +500,40 @@ class TestBenchCompareScript:
     ):
         verdict = self.script().compare(parent, change, lower_is_better, 0.05)
         assert verdict["unresolved"] is unresolved
+
+    def test_records_informational_same_run_ratio(self, tmp_path, monkeypatch):
+        # the parent's screened time drifts with its baseline's while the
+        # change's does not; the ratio shows it, and the verdicts stay on
+        # the raw metrics
+        script = self.script()
+        times = {
+            "parent": iter([(8.0, 8.0), (10.0, 9.0), (9.0, 10.0)]),
+            "change": iter([(7.0, 8.0), (7.5, 10.0), (7.0, 9.0)]),
+        }
+
+        def fake_run(checkout, workload, seed, seconds, trace):
+            side = "parent" if checkout == tmp_path.resolve() else "change"
+            screen, sink = next(times[side]) if trace == 0 else (0.0, 1.0)
+            metrics = {m: 1.0 for m in ("screen_ms_p90", "sinkhorn_ms_p90",
+                                        "row_violation", "col_violation",
+                                        "rel_divergence", "peak_rss_mb", "setup_s")}
+            metrics.update(screen_ms_p50=screen, sinkhorn_ms_p50=sink)
+            return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics,
+                    "failing": [], "reference": None, "host": "host: test"}
+
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").touch()
+        monkeypatch.setattr(script, "run_once", fake_run)
+        out = tmp_path / "out.json"
+        assert script.main([
+            "--parent", str(tmp_path), "--seed", "1", "--pairs", "3",
+            "--workload", "full-budget", "--out", str(out),
+        ]) == 0
+        record = json.loads(out.read_text())["workloads"]["full-budget"]
+        ratio = record["screen_to_sinkhorn_p50"]
+        assert ratio["informational"] is True
+        assert ratio["parent"]["runs"] == pytest.approx([1.0, 10.0 / 9.0, 0.9])
+        assert ratio["change"]["runs"] == pytest.approx([7.0 / 8.0, 0.75, 7.0 / 9.0])
+        assert ratio["parent"]["median"] == pytest.approx(1.0)
+        assert ratio["change"]["median"] == pytest.approx(7.0 / 9.0)
+        assert record["end_to_end"]["screen_ms_p50"]["change"]["runs"] == [7.0, 7.5, 7.0]

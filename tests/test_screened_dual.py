@@ -21,11 +21,13 @@ from screenkhorn import (
     build_problem,
     decimation_to_budget,
     epsilon_kappa,
+    gibbs_kernel,
     ratio_vectors,
     screenkhorn,
     sinkhorn,
 )
 from screenkhorn import algorithm
+from screenkhorn.bench import generate_gaussian_pair, pairwise_euclidean
 from screenkhorn.core import _CHUNK_ENTRIES
 from screenkhorn.solver import restricted_sinkhorn
 from screenkhorn.screened import (
@@ -160,6 +162,52 @@ class TestBuildProblem:
         block = K.entries[np.ix_(sr.active_rows, sr.active_cols)]
         np.testing.assert_array_equal(compact_parts(p)[0], block)
         assert p.k_min == block.min()
+
+
+class TestFullLayoutKMin:
+    """The full layout reads k_min from one flat argmin of K when K's
+    smallest entry lies in the active block, and from the column minima over
+    runs of active rows otherwise; either way it is the block's minimum bit
+    for bit."""
+
+    @pytest.mark.parametrize("screened", ["none", "row", "col", "both"])
+    def test_block_minimum_on_both_branches(self, screened):
+        mu, nu, _, K = random_instance(5, 12, 10)
+        i, j = np.unravel_index(K.entries.argmin(), K.shape)
+        rows, cols = np.arange(12), np.arange(10)
+        # a second screened row splits the active rows into several runs
+        if screened in ("row", "both"):
+            rows = np.setdiff1d(rows, [i, (i + 5) % 12])
+        if screened in ("col", "both"):
+            cols = np.setdiff1d(cols, [j])
+        p = _full_layout(mu, nu, K, forced_screening(1.0, 1.0, rows, cols))
+        assert p.matrix is K.entries
+        assert p.k_min == K.entries[np.ix_(rows, cols)].min()
+        assert (p.k_min == K.entries.min()) == (screened == "none")
+
+    def test_far_outlier_with_tiny_weight_is_screened(self):
+        # a source point far from both clouds holds K's smallest entries in
+        # its row; with a tiny weight its ratio mu_i / r_i is the smallest,
+        # so screening drops that row and the argmin falls outside the block
+        n = 60
+        x, y = generate_gaussian_pair(n, n, 3)
+        x[0] = (40.0, -40.0)
+        C = pairwise_euclidean(x, y, normalize=True)
+        weights = np.full(n, 1.0)
+        weights[0] = 1e-6
+        mu = DiscreteMeasure(weights / weights.sum())
+        nu = DiscreteMeasure(np.full(n, 1.0 / n))
+        K = gibbs_kernel(C, 1.0)
+        n_b, m_b = decimation_to_budget(n, n, 0.9)
+        xi, zeta = ratio_vectors(mu, nu, K)
+        eps, kap = epsilon_kappa(xi, zeta, Budget(n_b, m_b))
+        sr = active_sets(mu, nu, K, eps, kap)
+        assert np.unravel_index(K.entries.argmin(), K.shape)[0] == 0
+        assert 0 not in sr.active_rows
+        p = build_problem(mu, nu, K, sr)
+        assert p.matrix is K.entries
+        assert p.k_min == K.entries[np.ix_(sr.active_rows, sr.active_cols)].min()
+        assert p.k_min > K.entries.min()
 
 
 def ix_reference(mu, nu, K, sr):

@@ -16,6 +16,7 @@ from screenkhorn import (
     ScreenkhornError,
     SolverConfig,
     decimation_to_budget,
+    gibbs_kernel,
     marginal_norm_certificates,
     marginal_violations,
     plan_from_potentials,
@@ -26,6 +27,7 @@ from screenkhorn import (
 )
 from screenkhorn import algorithm
 from screenkhorn.bench import generate_gaussian_pair, pairwise_euclidean
+from screenkhorn.core import _marginals
 from screenkhorn.screened import build_problem
 from conftest import random_instance, ring_instance, symmetric_instance
 
@@ -168,6 +170,43 @@ class TestAssembly:
         np.testing.assert_allclose(
             without.col_marginal, with_plan.col_marginal, rtol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "config, stop_reason",
+        [
+            (SolverConfig(pg_tolerance=1e-9), "pg_tolerance"),
+            (SolverConfig(pg_tolerance=1e-300, max_iterations=1), "max_iterations"),
+        ],
+    )
+    def test_full_layout_marginals_come_from_the_final_sweep(self, config, stop_reason):
+        # budget 0.9 takes the full layout, where the final sweep's products
+        # are K's; its fills are eps/kappa rather than exp(log(eps/kappa)),
+        # so the marginals match a fresh pass over K up to rounding
+        C, mu = gaussian_instance(100, 4)
+        n_b, m_b = decimation_to_budget(100, 100, 0.9)
+        res = screenkhorn(C, 1.0, mu, mu, n_b, m_b, solver_config=config)
+        assert res.solver_report.stop_reason == stop_reason
+        assert res.row_marginal is res.solver_report.row_marginal
+        assert res.col_marginal is res.solver_report.col_marginal
+        row, col = _marginals(
+            gibbs_kernel(C, 1.0), np.exp(res.potentials.u), np.exp(res.potentials.v)
+        )
+        np.testing.assert_allclose(res.row_marginal, row, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(res.col_marginal, col, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("factor, passes", [(0.9, 0), (0.1, 1)])
+    def test_marginal_pass_only_on_the_compact_layout(self, factor, passes, monkeypatch):
+        C, mu = gaussian_instance(100, 4)
+        n_b, m_b = decimation_to_budget(100, 100, factor)
+        calls = []
+
+        def counted(K, a, b):
+            calls.append(K)
+            return _marginals(K, a, b)
+
+        monkeypatch.setattr(algorithm, "_marginals", counted)
+        screenkhorn(C, 1.0, mu, mu, n_b, m_b, materialize_plan=False)
+        assert len(calls) == passes
 
     def test_timing_fields(self):
         res = solve_random(7, 6, 6, 3, 3)
