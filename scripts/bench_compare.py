@@ -24,12 +24,19 @@ It also records, per workload, each run's screen_ms_p50 divided by the same
 run's sinkhorn_ms_p50, and each side's median of that ratio. The ratio is
 informational and no verdict rests on it: it shows the screened solve's
 time net of drift that slows both solvers of a run alike.
+
+Each run's CPU count is read from the nproc field of its host line and
+recorded per side. The library runs its row-chunk passes on every usable
+CPU, so runs that saw different counts (one side pinned with taskset, say)
+do not compare: such a workload is marked host_mismatch, and its metrics get
+no gain or regression verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -75,6 +82,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         "reference": next((ln.strip() for ln in lines if "reference:" in ln), None),
         "host": next((ln for ln in lines if ln.startswith("host: ")), None),
     }
+
+
+def host_nproc(host: str | None) -> int | None:
+    """The nproc field of a run's host line, None if it has none."""
+    found = re.search(r"\bnproc=(\d+)", host or "")
+    return int(found.group(1)) if found else None
 
 
 def spread(values: list[float]) -> dict:
@@ -124,17 +137,24 @@ def main(argv=None) -> int:
             for side in order:
                 run = run_once(sides[side], workload, args.seed, seconds, 0)
                 record["host"][side] = run.pop("host")
+                run["nproc"] = host_nproc(record["host"][side])
                 runs[side].append(run)
                 print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                       f"screen_ms_p50 {run['metrics']['screen_ms_p50']:.2f}", flush=True)
+        nproc = {s: [r["nproc"] for r in runs[s]] for s in runs}
+        host_mismatch = len({*nproc["parent"], *nproc["change"]}) > 1
         metrics = {}
         for m in bench["end_to_end"]:
             values = {s: [r["metrics"][m["name"]] for r in runs[s]] for s in runs}
             metrics[m["name"]] = {"unit": m["unit"], **compare(
                 values["parent"], values["change"], m["better"] == "lower", m["bound"]
             )}
+            if host_mismatch:
+                metrics[m["name"]].update(gain=None, regression=None)
         traced = {s: run_once(sides[s], workload, args.seed, seconds, 1) for s in sides}
         record["workloads"][workload] = {
+            "nproc": nproc,
+            "host_mismatch": host_mismatch,
             "end_to_end": metrics,
             "screen_to_sinkhorn_p50": {
                 "informational": True, **{s: same_run_ratios(runs[s]) for s in runs}

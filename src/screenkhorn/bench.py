@@ -23,7 +23,7 @@ from .core import (
     CostMatrix,
     DiscreteMeasure,
     DualSolution,
-    _row_chunks,
+    _chunk_pass,
     divergence,
     gibbs_kernel,
     sinkhorn,
@@ -125,17 +125,35 @@ def pairwise_euclidean(x: np.ndarray, y: np.ndarray, normalize: bool) -> CostMat
             f"expected 2-column point arrays, got shapes {x.shape} and {y.shape}"
         )
     c = np.empty((x.shape[0], y.shape[0]))
-    # by row chunks, so the chunk x m x 2 difference stays small
-    for rows in _row_chunks(*c.shape):
-        diff = x[rows, None, :] - y[None, :, :]
-        np.sqrt((diff * diff).sum(axis=2), out=c[rows])
+    # each coordinate contiguous, so the broadcast differences read unit strides
+    (x0, x1), (y0, y1) = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    top = -np.inf
+
+    # each chunk is written in place as dx*dx + dy*dy, the sum numpy's
+    # reduction over the coordinate axis forms, so C is bit for bit the
+    # distance of the two points; its maximum is taken while it sits in cache
+    def distances(rows):
+        chunk = c[rows]
+        np.subtract(x0[rows, None], y0, out=chunk)
+        np.multiply(chunk, chunk, out=chunk)
+        dy = np.subtract(x1[rows, None], y1)
+        np.multiply(dy, dy, out=dy)
+        np.add(chunk, dy, out=chunk)
+        np.sqrt(chunk, out=chunk)
+        return chunk.max()
+
+    def fold(chunk_max):
+        nonlocal top
+        # np.maximum passes a nan on, as c.max() would
+        top = np.maximum(top, chunk_max)
+
+    _chunk_pass(*c.shape, distances, fold)
     if normalize:
-        top = c.max()
         if top <= 0.0:
             raise DegenerateCostError(
                 "cannot normalize: every pairwise distance is zero"
             )
-        c /= top
+        _chunk_pass(*c.shape, lambda rows: np.divide(c[rows], top, out=c[rows]))
     return CostMatrix(c)
 
 

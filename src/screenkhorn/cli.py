@@ -31,7 +31,7 @@ from .bench import (
     compare_solvers,
     run_experiment,
 )
-from .core import CostMatrix, DiscreteMeasure
+from .core import CostMatrix, DiscreteMeasure, _chunk_workers
 from .diagnostics import marginal_violations, omega_kappa
 from .errors import (
     CertificateViolationError,
@@ -329,11 +329,13 @@ _input_options = [
 
 
 def _echo_solve_work(report: SolverReport) -> None:
-    """Why the screened solve stopped, and its work: sweeps, and the pair of
-    products with M that each sweep forms."""
+    """Why the screened solve stopped, and its work: sweeps, the pair of
+    products with M that each sweep forms, and the threads, calling one
+    included, that ran the row-chunk passes over n x m arrays."""
     click.echo(f"stop reason {report.stop_reason}")
     click.echo(f"sweeps {report.iterations}")
     click.echo(f"products {2 * report.evaluations}")
+    click.echo(f"chunk workers {_chunk_workers().count}")
 
 
 def _with_input_options(fn):

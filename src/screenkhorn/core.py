@@ -5,11 +5,30 @@ Everything here works in the scaling (exponential) domain without
 log-stabilization. Regimes that overflow raise NumericRangeError instead of
 propagating infinities; that is deliberate, the baseline should fail loudly
 rather than return garbage timings.
+
+The library's elementwise passes over n x m arrays (the kernel, the checks
+of C and K, the compact layout's marginals and gather, the full layout's
+argmin, the instance build) walk them by row chunks of about 512 KB, which
+stay in one core's L2 while a chunk is written, checked and reduced.
+_chunk_pass spreads the chunks over one thread per usable CPU. The calling
+thread takes chunks from the front and folds their partial results (column
+sums, minima) as it goes; worker threads take chunks from the back and keep
+one partial per chunk, which the caller folds afterwards in chunk order. So
+every output is bitwise the one a single thread gives, whatever the number
+of CPUs or the point where the two ends meet, and a process pinned to one
+CPU runs the same steps with no worker. The BLAS products of sinkhorn and
+the screened solve, and divergence, stay on the calling thread.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -17,7 +36,8 @@ from .errors import InputError, NumericRangeError, ParameterError, ShapeError
 
 
 # entries per chunk of an n x m pass: 2**16 float64 entries (512 KB) stay in
-# L2 while every reduction over the chunk runs
+# each core's L2 while every reduction over the chunk runs, also with every
+# core running a chunk of its own
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -27,6 +47,185 @@ def _row_chunks(n: int, m: int):
     step = max(1, _CHUNK_ENTRIES // max(m, 1))
     for lo in range(0, n, step):
         yield slice(lo, min(lo + step, n))
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    while (job := inbox.get()) is not None:
+        job()
+        # a finished pass holds its arrays; the idle worker must not keep
+        # them alive until its next job
+        del job
+
+
+class _ChunkWorkers:
+    """Daemon threads that help with row-chunk passes, each fed by its own
+    queue; the thread that calls _chunk_pass is one more worker."""
+
+    def __init__(self, threads: int):
+        self.inboxes = [queue.SimpleQueue() for _ in range(threads)]
+        self.threads = [
+            threading.Thread(
+                target=_serve, args=(box,), name=f"screenkhorn-chunks-{i}", daemon=True
+            )
+            for i, box in enumerate(self.inboxes)
+        ]
+        for thread in self.threads:
+            thread.start()
+
+    @property
+    def count(self) -> int:
+        """Threads a pass runs on, the calling one included."""
+        return len(self.threads) + 1
+
+    def stop(self) -> None:
+        for box in self.inboxes:
+            box.put(None)
+        for thread in self.threads:
+            thread.join()
+
+
+# started on first use, one thread per usable CPU after the first. A child
+# made by fork inherits this object but none of its threads, so the child
+# drops it and starts its own; the interpreter stops the threads at exit
+_workers: _ChunkWorkers | None = None
+_workers_lock = threading.Lock()
+
+
+def _chunk_workers() -> _ChunkWorkers:
+    global _workers
+    with _workers_lock:
+        if _workers is None:
+            _workers = _ChunkWorkers(_usable_cpus() - 1)
+        return _workers
+
+
+def _forget_workers() -> None:
+    global _workers, _workers_lock
+    _workers = None
+    _workers_lock = threading.Lock()
+
+
+def _stop_workers() -> None:
+    global _workers
+    with _workers_lock:
+        if _workers is not None:
+            _workers.stop()
+            _workers = None
+
+
+atexit.register(_stop_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+class _Pass:
+    """One _chunk_pass. The calling thread claims chunks from the front and
+    the workers claim them from the back, so the chunks split into a prefix,
+    whose results the caller folds as it goes, and a suffix, whose results
+    wait in `results` until the caller folds them in chunk order. Where the
+    split falls only moves work between threads: a worker that wakes late
+    leaves the caller more chunks, and one that wakes after every chunk is
+    claimed does nothing and is not waited for."""
+
+    def __init__(self, chunks: list[slice], step: Callable[[slice], object]):
+        self.chunks = chunks
+        self.step = step
+        self.errstate = np.geterr()
+        self.lock = threading.Lock()
+        self.front = 0
+        self.back = len(chunks)
+        self.helpers = 0  # workers that claimed a chunk, each of which puts on done
+        self.results = [None] * len(chunks)
+        self.errors = {}  # chunk index -> the exception that stopped a worker there
+        self.done = queue.SimpleQueue()
+
+    def _claim_back(self, joining: bool) -> int | None:
+        with self.lock:
+            if self.front == self.back:
+                return None
+            self.back -= 1
+            self.helpers += joining
+            return self.back
+
+    def help(self) -> None:
+        """A worker's job: run chunks from the back, under the caller's numpy
+        error state, until none is left or one raises."""
+        i = self._claim_back(joining=True)
+        if i is None:
+            return
+        try:
+            with np.errstate(**self.errstate):
+                while i is not None:
+                    self.results[i] = self.step(self.chunks[i])
+                    i = self._claim_back(joining=False)
+        except BaseException as exc:  # re-raised by run() on the caller
+            self.errors[i] = exc
+        self.done.put(None)
+
+    def run(self, fold: Callable | None) -> None:
+        """The caller's part: run chunks from the front, then fold the
+        workers' results. The pass then drops its step and results, which
+        hold its arrays: a worker whose job is still queued claims nothing,
+        but keeps this object until it wakes."""
+        try:
+            self._run_front(fold)
+            for i in range(self.front, len(self.chunks)):
+                if i in self.errors:
+                    raise self.errors[i]
+                if fold is not None:
+                    fold(self.results[i])
+        finally:
+            self.step = self.results = self.errors = None
+
+    def _run_front(self, fold: Callable | None) -> None:
+        try:
+            while True:
+                with self.lock:
+                    if self.front == self.back:
+                        break
+                    i = self.front
+                    self.front += 1
+                result = self.step(self.chunks[i])
+                if fold is not None:
+                    fold(result)
+        except BaseException:
+            # no chunk after this one counts: stop the claims, let the
+            # workers that joined finish, then raise
+            with self.lock:
+                self.back = self.front
+            self._join()
+            raise
+        self._join()
+
+    def _join(self) -> None:
+        # no chunk is left to claim, so no worker joins after this read
+        with self.lock:
+            helpers = self.helpers
+        for _ in range(helpers):
+            self.done.get()
+
+
+def _chunk_pass(
+    n: int, m: int, step: Callable[[slice], object], fold: Callable | None = None
+) -> None:
+    """Call step(rows) on every chunk of _row_chunks(n, m), spread over the
+    workers, and fold(result) on each chunk's result in chunk order on the
+    calling thread.
+
+    An exception in a step stops the thread that ran it. Once every thread
+    has stopped, the exception of the earliest chunk is raised: every chunk
+    before it has run, so it is the one a single thread would have met.
+    """
+    chunks = list(_row_chunks(n, m))
+    one_pass = _Pass(chunks, step)
+    for inbox in _chunk_workers().inboxes[: len(chunks) - 1]:
+        inbox.put(one_pass.help)
+    one_pass.run(fold)
 
 
 def _as_array(x, name: str, ndim: int) -> np.ndarray:
@@ -87,17 +286,26 @@ class CostMatrix:
         # one sweep of range tests, which also reject nan (it fails both
         # comparisons); the bad entry is located only once one fails, over the
         # whole array, so a non-finite entry is named before a negative one
+        in_range = True
         max_norm = -np.inf
-        for rows in _row_chunks(*c.shape):
+
+        def step(rows):
             chunk = c[rows]
-            lo, hi = chunk.min(), chunk.max()
-            if not (lo >= 0.0 and hi < np.inf):
-                if not np.all(np.isfinite(c)):
-                    i, j = map(int, np.argwhere(~np.isfinite(c))[0])
-                    raise InputError(f"cost entry ({i}, {j}) is not finite")
-                i, j = map(int, np.argwhere(c < 0.0)[0])
-                raise InputError(f"cost entry ({i}, {j}) = {c[i, j]} is negative")
+            return chunk.min(), chunk.max()
+
+        def fold(extremes):
+            nonlocal in_range, max_norm
+            lo, hi = extremes
+            in_range = in_range and lo >= 0.0 and hi < np.inf
             max_norm = max(max_norm, float(hi))
+
+        _chunk_pass(*c.shape, step, fold)
+        if not in_range:
+            if not np.all(np.isfinite(c)):
+                i, j = map(int, np.argwhere(~np.isfinite(c))[0])
+                raise InputError(f"cost entry ({i}, {j}) is not finite")
+            i, j = map(int, np.argwhere(c < 0.0)[0])
+            raise InputError(f"cost entry ({i}, {j}) = {c[i, j]} is negative")
         object.__setattr__(self, "entries", c)
         object.__setattr__(self, "max_norm", max_norm)
 
@@ -106,13 +314,19 @@ class CostMatrix:
         return self.entries.shape
 
 
-def _add_chunk_sums(
-    chunk: np.ndarray, rows: slice, row_sums: np.ndarray, col_sums: np.ndarray
-) -> None:
-    """Write the chunk's row sums into row_sums[rows] and add its column sums
-    into col_sums."""
-    chunk.sum(axis=1, out=row_sums[rows])
-    col_sums += chunk.sum(axis=0)
+def _kernel_pass(n: int, m: int, step: Callable[[slice], np.ndarray]) -> tuple:
+    """(row_sums, col_sums) of the kernel whose chunk step(rows) writes or
+    checks and returns, in one _chunk_pass."""
+    row_sums = np.empty(n)
+    col_sums = np.zeros(m)
+
+    def sums(rows):
+        chunk = step(rows)
+        chunk.sum(axis=1, out=row_sums[rows])
+        return chunk.sum(axis=0)
+
+    _chunk_pass(n, m, sums, partial(np.add, col_sums, out=col_sums))
+    return row_sums, col_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +343,10 @@ class GibbsKernel:
         eta = float(self.eta)
         if not np.isfinite(eta) or eta <= 0.0:
             raise ParameterError(f"eta must be positive and finite, got {eta}")
-        n, m = k.shape
-        row_sums = np.empty(n)
-        col_sums = np.zeros(m)
+
         # one sweep: each chunk is range checked and summed while it sits in
         # cache, so K is read from memory once
-        for rows in _row_chunks(n, m):
+        def checked(rows):
             chunk = k[rows]
             # the fused range test also rejects nan, which fails both comparisons
             if not (chunk.min() > 0.0 and chunk.max() <= 1.0):
@@ -144,8 +356,9 @@ class GibbsKernel:
                 raise InputError(
                     f"kernel entry ({i}, {j}) = {k[i, j]} is outside (0, 1]"
                 )
-            _add_chunk_sums(chunk, rows, row_sums, col_sums)
-        self._store(k, eta, row_sums, col_sums)
+            return chunk
+
+        self._store(k, eta, *_kernel_pass(*k.shape, checked))
 
     def _store(self, entries, eta, row_sums, col_sums) -> None:
         object.__setattr__(self, "entries", entries)
@@ -229,16 +442,14 @@ def gibbs_kernel(C: CostMatrix, eta: float) -> GibbsKernel:
     if not np.isfinite(eta) or eta <= 0.0:
         raise ParameterError(f"eta must be positive and finite, got {eta}")
     c = C.entries
-    n, m = c.shape
-    k = np.empty((n, m))
-    row_sums = np.empty(n)
-    col_sums = np.zeros(m)
+    k = np.empty(c.shape)
     # exp of a finite nonpositive number lies in [0, 1], so of the kernel's
     # range checks only the zero test can fail, and only past the guard
     may_underflow = C.max_norm / eta >= _EXP_UNDERFLOW
+
     # one sweep: c / -eta is -c / eta bit for bit, each chunk is written in
     # place (no n x m temporary) and checked and summed while it sits in cache
-    for rows in _row_chunks(n, m):
+    def written(rows):
         chunk = k[rows]
         np.divide(c[rows], -eta, out=chunk)
         np.exp(chunk, out=chunk)
@@ -249,8 +460,9 @@ def gibbs_kernel(C: CostMatrix, eta: float) -> GibbsKernel:
                 f"kernel entry ({i}, {j}) underflowed to zero: cost {c[i, j]} "
                 f"is too large for eta = {eta}"
             )
-        _add_chunk_sums(chunk, rows, row_sums, col_sums)
-    return GibbsKernel._checked(k, eta, row_sums, col_sums)
+        return chunk
+
+    return GibbsKernel._checked(k, eta, *_kernel_pass(*c.shape, written))
 
 
 def _check_sizes(
@@ -274,10 +486,16 @@ def _marginals(
     n, m = km.shape
     kb = np.empty(n)
     kta = np.zeros(m)
-    for rows in _row_chunks(n, m):
+
+    # np.dot calls the same BLAS gemv as @, bit for bit, and lets another
+    # thread run during it; chunk @ b did not (numpy 2.4: a 1000 x 1000 pass
+    # of it took 0.59 ms on two threads against 0.45 ms on one)
+    def products(rows):
         chunk = km[rows]
-        kb[rows] = chunk @ b
-        kta += a[rows] @ chunk
+        np.dot(chunk, b, out=kb[rows])
+        return np.dot(a[rows], chunk)
+
+    _chunk_pass(n, m, products, partial(np.add, kta, out=kta))
     return a * kb, b * kta
 
 
@@ -315,6 +533,9 @@ def divergence(pot: DualPotentials, K: GibbsKernel, C: CostMatrix) -> float:
         raise ShapeError(f"cost shape {C.shape} does not match kernel shape {K.shape}")
     a, b = _scalings(pot, K)
     cost = 0.0
+    # on the calling thread alone: each chunk takes a chunk-sized product,
+    # and one per worker at once would double the pass's working memory; no
+    # timed path computes a cost
     # an overflowing e^u or e^v makes the sum inf or nan, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_chunks(*K.shape):

@@ -35,7 +35,7 @@ layouts of M:
 
 - full: M is K itself and the positions are I and J. Nothing is gathered;
   only k_min, the minimum of the active block K_IJ, is computed, by one
-  flat argmin of K when K's smallest entry lies in the block. The solve's
+  argmin pass over K when K's smallest entry lies in the block. The solve's
   final sweep then forms K b_hat and K^T a_hat at the returned point, which
   give the plan's marginals without another pass over K.
 - compact: M is the (|I| + 1) x (|J| + 1) matrix
@@ -83,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, GibbsKernel, _check_sizes, _row_chunks
+from .core import DiscreteMeasure, GibbsKernel, _check_sizes, _chunk_pass
 from .errors import (
     DegenerateScreeningError,
     InfeasibleBoundsError,
@@ -200,20 +200,35 @@ def _full_layout(
     mu: DiscreteMeasure, nu: DiscreteMeasure, K: GibbsKernel, sr: ScreeningResult
 ) -> ScreenedDualProblem:
     """M = K; only k_min is computed. When K's smallest entry lies in the
-    active block it is the block's minimum, found by one flat argmin;
+    active block it is the block's minimum, found by one argmin pass;
     otherwise k_min comes from the column minima over each run of
     consecutive active rows, read in place (min is exact, so either way
     gives the block minimum bit for bit)."""
     rows, cols = sr.active_rows, sr.active_cols
     km = K.entries
-    i, j = divmod(int(km.argmin()), km.shape[1])
+    n, m = km.shape
+    # K's first smallest entry in row-major order: each chunk's first, the
+    # earliest chunk winning ties
+    smallest = (np.inf, 0)
+
+    def first_min(sl):
+        at = int(km[sl].argmin())
+        return km[sl].flat[at], sl.start * m + at
+
+    def fold(candidate):
+        nonlocal smallest
+        if candidate[0] < smallest[0]:
+            smallest = candidate
+
+    _chunk_pass(n, m, first_min, fold)
+    i, j = divmod(smallest[1], m)
     if i in rows and j in cols:
         return _problem(mu, nu, K, sr, km, rows, cols, km[i, j])
     # positions in rows where a run starts, and each run's first and last row
     starts = np.flatnonzero(np.diff(rows) != 1) + 1
     firsts = rows[np.r_[0, starts]]
     lasts = rows[np.r_[starts - 1, rows.size - 1]]
-    col_min = np.full(km.shape[1], np.inf)
+    col_min = np.full(m, np.inf)
     for lo, hi in zip(firsts.tolist(), (lasts + 1).tolist()):
         np.minimum(col_min, km[lo:hi].min(axis=0), out=col_min)
     return _problem(mu, nu, K, sr, km, rows, cols, col_min[cols].min())
@@ -243,13 +258,20 @@ def _compact_layout(
     cols_ext = np.append(cols, cols[0])
     block_col_sums = np.zeros(m_b)
     k_min = np.inf
-    for sl in _row_chunks(n_b, m_b + 1):
+
+    def gather(sl):
         wide = matrix[sl]
         flat.take(rows[sl, None] * m + cols_ext, out=wide, mode="clip")
-        k_min = min(k_min, float(wide.min()))
         chunk = wide[:, :m_b]
         chunk.sum(axis=1, out=s[sl])
-        block_col_sums += chunk.sum(axis=0)
+        return float(wide.min()), chunk.sum(axis=0)
+
+    def fold(partials):
+        nonlocal k_min
+        k_min = min(k_min, partials[0])
+        np.add(block_col_sums, partials[1], out=block_col_sums)
+
+    _chunk_pass(n_b, m_b + 1, gather, fold)
 
     # cross sums against the cached kernel sums; an empty complement gives
     # exact zeros

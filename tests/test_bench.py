@@ -537,3 +537,40 @@ class TestBenchCompareScript:
         assert ratio["parent"]["median"] == pytest.approx(1.0)
         assert ratio["change"]["median"] == pytest.approx(7.0 / 9.0)
         assert record["end_to_end"]["screen_ms_p50"]["change"]["runs"] == [7.0, 7.5, 7.0]
+
+    @pytest.mark.parametrize("change_nproc, mismatch", [(1, True), (2, False)])
+    def test_host_mismatch_withholds_verdicts(self, tmp_path, monkeypatch,
+                                              change_nproc, mismatch):
+        # the row-chunk passes use every usable CPU, so a side pinned to
+        # fewer CPUs is not comparable: no gain or regression is declared
+        script = self.script()
+
+        def fake_run(checkout, workload, seed, seconds, trace):
+            side = "parent" if checkout == tmp_path.resolve() else "change"
+            nproc = 2 if side == "parent" else change_nproc
+            screen = 10.0 if side == "parent" else 5.0
+            metrics = {m: 1.0 for m in ("screen_ms_p90", "sinkhorn_ms_p50",
+                                        "sinkhorn_ms_p90", "row_violation",
+                                        "col_violation", "rel_divergence",
+                                        "peak_rss_mb", "setup_s")}
+            metrics["screen_ms_p50"] = screen
+            return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics,
+                    "failing": [], "reference": None,
+                    "host": f"host: nproc={nproc} numpy=x"}
+
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").touch()
+        monkeypatch.setattr(script, "run_once", fake_run)
+        out = tmp_path / "out.json"
+        assert script.main([
+            "--parent", str(tmp_path), "--seed", "1", "--pairs", "2",
+            "--workload", "large-n", "--out", str(out),
+        ]) == 0
+        record = json.loads(out.read_text())["workloads"]["large-n"]
+        assert record["nproc"] == {"parent": [2, 2], "change": [change_nproc] * 2}
+        assert record["host_mismatch"] is mismatch
+        verdict = record["end_to_end"]["screen_ms_p50"]
+        assert verdict["change_wins"] == 2
+        assert verdict["gain"] is (None if mismatch else True)
+        assert verdict["regression"] is (None if mismatch else False)
+        assert self.script().host_nproc("host: test") is None
