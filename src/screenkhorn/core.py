@@ -10,14 +10,16 @@ The library's elementwise passes over n x m arrays (the kernel, the checks
 of C and K, the compact layout's marginals and gather, the full layout's
 argmin, the instance build) walk them by row chunks of about 512 KB, which
 stay in one core's L2 while a chunk is written, checked and reduced.
-_chunk_pass spreads the chunks over one thread per usable CPU. The calling
-thread takes chunks from the front and folds their partial results (column
-sums, minima) as it goes; worker threads take chunks from the back and keep
-one partial per chunk, which the caller folds afterwards in chunk order. So
-every output is bitwise the one a single thread gives, whatever the number
-of CPUs or the point where the two ends meet, and a process pinned to one
-CPU runs the same steps with no worker. The BLAS products of sinkhorn and
-the screened solve, and divergence, stay on the calling thread.
+_chunk_pass spreads the chunks over one thread per usable CPU, as far as
+each thread gets at least _CHUNKS_PER_THREAD of them; a smaller pass runs on
+the calling thread alone. The calling thread takes chunks from the front and
+folds their partial results (column sums, minima) as it goes; worker threads
+take chunks from the back and keep one partial per chunk, which the caller
+folds afterwards in chunk order. So every output is bitwise the one a single
+thread gives, whatever the number of threads or the point where the two ends
+meet, and a process pinned to one CPU runs the same steps with no worker.
+The BLAS products of sinkhorn and the screened solve, and divergence, stay
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -39,6 +41,17 @@ from .errors import InputError, NumericRangeError, ParameterError, ShapeError
 # each core's L2 while every reduction over the chunk runs, also with every
 # core running a chunk of its own
 _CHUNK_ENTRIES = 1 << 16
+
+
+# chunks a pass must have per thread it runs on. A worker that the OS runs
+# late, because another process holds its CPU, costs the caller up to a
+# scheduler slice of a few ms; 32 chunks (16 MB, about 8 ms of the kernel's
+# exp on one core) make that a small share of the worker's part. A
+# 1000 x 1000 pass (16 chunks) runs inline: on two CPUs shared with a
+# competing process, its threaded run took 2 to 4 ms (p50 to p90) where the
+# inline one took 3.5 to 4, and the screened solve's p90 rose by half while
+# the inline solve's held
+_CHUNKS_PER_THREAD = 32
 
 
 def _row_chunks(n: int, m: int):
@@ -214,8 +227,8 @@ def _chunk_pass(
     n: int, m: int, step: Callable[[slice], object], fold: Callable | None = None
 ) -> None:
     """Call step(rows) on every chunk of _row_chunks(n, m), spread over the
-    workers, and fold(result) on each chunk's result in chunk order on the
-    calling thread.
+    workers that get _CHUNKS_PER_THREAD chunks each, and fold(result) on
+    each chunk's result in chunk order on the calling thread.
 
     An exception in a step stops the thread that ran it. Once every thread
     has stopped, the exception of the earliest chunk is raised: every chunk
@@ -223,7 +236,8 @@ def _chunk_pass(
     """
     chunks = list(_row_chunks(n, m))
     one_pass = _Pass(chunks, step)
-    for inbox in _chunk_workers().inboxes[: len(chunks) - 1]:
+    helpers = len(chunks) // _CHUNKS_PER_THREAD - 1
+    for inbox in _chunk_workers().inboxes[: max(helpers, 0)]:
         inbox.put(one_pass.help)
     one_pass.run(fold)
 

@@ -43,9 +43,10 @@ SHAPES = {
     "one row per chunk": (3, _CHUNK_ENTRIES + 3),
 }
 # inline: no worker thread, as in a process pinned to one CPU. racing: more
-# workers than this host's cores, all starting together. workers first: the
-# caller starts late, so the workers take most chunks and the caller folds
-# their stored results
+# workers than this host's cores, all starting together, and every pass of
+# two chunks or more on several threads. workers first: the caller starts
+# late, so the workers take most chunks and the caller folds their stored
+# results
 MODES = ("inline", "racing", "workers first")
 
 
@@ -53,6 +54,8 @@ MODES = ("inline", "racing", "workers first")
 def chunk_workers(mode, monkeypatch):
     saved = core._workers
     core._workers = core._ChunkWorkers(0 if mode == "inline" else 3)
+    if mode != "inline":
+        monkeypatch.setattr(core, "_CHUNKS_PER_THREAD", 1)
     if mode == "workers first":
         run_front = core._Pass._run_front
 
@@ -158,6 +161,35 @@ class TestChunkPass:
             one_pass = core._Pass(list(_row_chunks(4, 10)), lambda rows: rows)
             one_pass.run(None)
         assert one_pass.step is None and one_pass.results is None
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_thread_gets_a_full_share_of_chunks(self, threads, monkeypatch):
+        # a pass of k shares of _CHUNKS_PER_THREAD chunks, and one chunk short
+        # of k + 1, is handed to the first k - 1 workers only. Stopping the
+        # workers runs every job still queued, so each worker handed the pass
+        # has joined it by then, late or not
+        share = core._CHUNKS_PER_THREAD
+        joined = []
+        help_ = core._Pass.help
+
+        def recording_help(one_pass):
+            joined.append(threading.current_thread().name)
+            help_(one_pass)
+
+        monkeypatch.setattr(core._Pass, "help", recording_help)
+        saved = core._workers
+        core._workers = core._ChunkWorkers(3)
+        folded = []
+        try:
+            core._chunk_pass(
+                (threads + 1) * share - 1, _CHUNK_ENTRIES, lambda rows: rows.start,
+                folded.append,
+            )
+        finally:
+            core._workers.stop()
+            core._workers = saved
+        assert folded == list(range((threads + 1) * share - 1))
+        assert sorted(joined) == [f"screenkhorn-chunks-{i}" for i in range(threads - 1)]
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
