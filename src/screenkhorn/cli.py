@@ -31,7 +31,7 @@ from .bench import (
     compare_solvers,
     run_experiment,
 )
-from .core import CostMatrix, DiscreteMeasure, _chunk_workers
+from .core import CostMatrix, DiscreteMeasure, _usable_cpus
 from .diagnostics import marginal_violations, omega_kappa
 from .errors import (
     CertificateViolationError,
@@ -330,12 +330,13 @@ _input_options = [
 
 def _echo_solve_work(report: SolverReport) -> None:
     """Why the screened solve stopped, and its work: sweeps, the pair of
-    products with M that each sweep forms, and the threads, calling one
-    included, that ran the row-chunk passes over n x m arrays."""
+    products with M that each sweep forms, and the most threads, calling one
+    included, that a row-chunk pass over n x m arrays may run on. A pass
+    starts workers only when it is long enough to hand them chunks."""
     click.echo(f"stop reason {report.stop_reason}")
     click.echo(f"sweeps {report.iterations}")
     click.echo(f"products {2 * report.evaluations}")
-    click.echo(f"chunk workers {_chunk_workers().count}")
+    click.echo(f"chunk workers {_usable_cpus()}")
 
 
 def _with_input_options(fn):

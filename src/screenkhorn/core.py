@@ -8,18 +8,20 @@ rather than return garbage timings.
 
 The library's elementwise passes over n x m arrays (the kernel, the checks
 of C and K, the compact layout's marginals and gather, the full layout's
-argmin, the instance build) walk them by row chunks of about 512 KB, which
-stay in one core's L2 while a chunk is written, checked and reduced.
-_chunk_pass spreads the chunks over one thread per usable CPU, as far as
-each thread gets at least _CHUNKS_PER_THREAD of them; a smaller pass runs on
-the calling thread alone. The calling thread takes chunks from the front and
-folds their partial results (column sums, minima) as it goes; worker threads
-take chunks from the back and keep one partial per chunk, which the caller
-folds afterwards in chunk order. So every output is bitwise the one a single
+argmin, divergence, the instance build) walk them by row chunks of about
+512 KB, which stay in one core's L2 while a chunk is written, checked and
+reduced. _chunk_pass spreads the chunks over one thread per usable CPU, as
+far as each thread gets at least _CHUNKS_PER_THREAD of them; a smaller pass
+runs on the calling thread alone. Worker threads start only when a pass
+hands them chunks, and only as many as it hands them to; they then wait for
+the next pass. The calling thread takes chunks from the front and folds
+their partial results (column sums, minima) as it goes; worker threads take
+chunks from the back and keep one partial per chunk, which the caller folds
+afterwards in chunk order. So every output is bitwise the one a single
 thread gives, whatever the number of threads or the point where the two ends
 meet, and a process pinned to one CPU runs the same steps with no worker.
-The BLAS products of sinkhorn and the screened solve, and divergence, stay
-on the calling thread.
+The BLAS products of sinkhorn and the screened solve stay on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -67,68 +69,45 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _serve(inbox: queue.SimpleQueue) -> None:
-    while (job := inbox.get()) is not None:
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while (job := jobs.get()) is not None:
         job()
         # a finished pass holds its arrays; the idle worker must not keep
         # them alive until its next job
         del job
 
 
-class _ChunkWorkers:
-    """Daemon threads that help with row-chunk passes, each fed by its own
-    queue; the thread that calls _chunk_pass is one more worker."""
+# the worker threads, daemons all fed by one queue of jobs. A child made by
+# fork inherits these but none of the threads, so the child drops them and
+# starts its own; the interpreter stops the threads at exit
+_jobs: queue.SimpleQueue = queue.SimpleQueue()
+_threads: list[threading.Thread] = []
+_threads_lock = threading.Lock()
 
-    def __init__(self, threads: int):
-        self.inboxes = [queue.SimpleQueue() for _ in range(threads)]
-        self.threads = [
-            threading.Thread(
-                target=_serve, args=(box,), name=f"screenkhorn-chunks-{i}", daemon=True
-            )
-            for i, box in enumerate(self.inboxes)
-        ]
-        for thread in self.threads:
+
+def _start_workers(count: int) -> None:
+    with _threads_lock:
+        while len(_threads) < count:
+            name = f"screenkhorn-chunks-{len(_threads)}"
+            thread = threading.Thread(target=_serve, args=(_jobs,), name=name, daemon=True)
             thread.start()
-
-    @property
-    def count(self) -> int:
-        """Threads a pass runs on, the calling one included."""
-        return len(self.threads) + 1
-
-    def stop(self) -> None:
-        for box in self.inboxes:
-            box.put(None)
-        for thread in self.threads:
-            thread.join()
-
-
-# started on first use, one thread per usable CPU after the first. A child
-# made by fork inherits this object but none of its threads, so the child
-# drops it and starts its own; the interpreter stops the threads at exit
-_workers: _ChunkWorkers | None = None
-_workers_lock = threading.Lock()
-
-
-def _chunk_workers() -> _ChunkWorkers:
-    global _workers
-    with _workers_lock:
-        if _workers is None:
-            _workers = _ChunkWorkers(_usable_cpus() - 1)
-        return _workers
+            _threads.append(thread)
 
 
 def _forget_workers() -> None:
-    global _workers, _workers_lock
-    _workers = None
-    _workers_lock = threading.Lock()
+    global _jobs, _threads, _threads_lock
+    _jobs = queue.SimpleQueue()
+    _threads = []
+    _threads_lock = threading.Lock()
 
 
 def _stop_workers() -> None:
-    global _workers
-    with _workers_lock:
-        if _workers is not None:
-            _workers.stop()
-            _workers = None
+    with _threads_lock:
+        for _ in _threads:
+            _jobs.put(None)
+        for thread in _threads:
+            thread.join()
+        _threads.clear()
 
 
 atexit.register(_stop_workers)
@@ -141,7 +120,8 @@ class _Pass:
     the workers claim them from the back, so the chunks split into a prefix,
     whose results the caller folds as it goes, and a suffix, whose results
     wait in `results` until the caller folds them in chunk order. Where the
-    split falls only moves work between threads: a worker that wakes late
+    split falls only moves work between threads: a worker that wakes late,
+    because it was just started or is still busy with an earlier pass,
     leaves the caller more chunks, and one that wakes after every chunk is
     claimed does nothing and is not waited for."""
 
@@ -226,9 +206,10 @@ class _Pass:
 def _chunk_pass(
     n: int, m: int, step: Callable[[slice], object], fold: Callable | None = None
 ) -> None:
-    """Call step(rows) on every chunk of _row_chunks(n, m), spread over the
-    workers that get _CHUNKS_PER_THREAD chunks each, and fold(result) on
-    each chunk's result in chunk order on the calling thread.
+    """Call step(rows) on every chunk of _row_chunks(n, m), spread over as
+    many threads, the calling one included and at most one per usable CPU,
+    as get _CHUNKS_PER_THREAD chunks each, and fold(result) on each chunk's
+    result in chunk order on the calling thread.
 
     An exception in a step stops the thread that ran it. Once every thread
     has stopped, the exception of the earliest chunk is raised: every chunk
@@ -236,9 +217,13 @@ def _chunk_pass(
     """
     chunks = list(_row_chunks(n, m))
     one_pass = _Pass(chunks, step)
-    helpers = len(chunks) // _CHUNKS_PER_THREAD - 1
-    for inbox in _chunk_workers().inboxes[: max(helpers, 0)]:
-        inbox.put(one_pass.help)
+    helpers = min(len(chunks) // _CHUNKS_PER_THREAD, _usable_cpus()) - 1
+    if helpers > 0:
+        # started before any job is queued: a thread that fails to start
+        # leaves no job behind to run chunks of a pass that has raised
+        _start_workers(helpers)
+        for _ in range(helpers):
+            _jobs.put(one_pass.help)
     one_pass.run(fold)
 
 
@@ -547,13 +532,17 @@ def divergence(pot: DualPotentials, K: GibbsKernel, C: CostMatrix) -> float:
         raise ShapeError(f"cost shape {C.shape} does not match kernel shape {K.shape}")
     a, b = _scalings(pot, K)
     cost = 0.0
-    # on the calling thread alone: each chunk takes a chunk-sized product,
-    # and one per worker at once would double the pass's working memory; no
-    # timed path computes a cost
+
+    def chunk_cost(rows):
+        return a[rows] @ ((C.entries[rows] * K.entries[rows]) @ b)
+
+    def add(chunk):
+        nonlocal cost
+        cost += chunk
+
     # an overflowing e^u or e^v makes the sum inf or nan, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_chunks(*K.shape):
-            cost += a[rows] @ ((C.entries[rows] * K.entries[rows]) @ b)
+        _chunk_pass(*K.shape, chunk_cost, add)
     if not np.isfinite(cost):
         raise NumericRangeError("plan cost overflows")
     return float(cost)

@@ -67,6 +67,17 @@ def _positive_vector(x, name: str) -> np.ndarray:
     return v
 
 
+def _checked_rho(gamma, beta) -> tuple[np.ndarray, np.ndarray, float]:
+    """gamma and beta as checked vectors, and their rho distance."""
+    g = _positive_vector(gamma, "gamma")
+    b = _positive_vector(beta, "beta")
+    if g.shape != b.shape:
+        raise ShapeError(f"vector shapes {g.shape} and {b.shape} differ")
+    t = b / g - 1.0
+    terms = g * (t - np.log1p(t))
+    return g, b, float(np.maximum(terms, 0.0).sum())
+
+
 def rho_distance(gamma, beta) -> float:
     """Sum of b - a + a log(a/b) over entry pairs; zero iff the vectors match.
 
@@ -75,23 +86,14 @@ def rho_distance(gamma, beta) -> float:
     clamped per term before summing. Without the clamp, nearly identical
     vectors can sum to a tiny negative and poison downstream square roots.
     """
-    g = _positive_vector(gamma, "gamma")
-    b = _positive_vector(beta, "beta")
-    if g.shape != b.shape:
-        raise ShapeError(f"vector shapes {g.shape} and {b.shape} differ")
-    t = b / g - 1.0
-    terms = g * (t - np.log1p(t))
-    return float(np.maximum(terms, 0.0).sum())
+    return _checked_rho(gamma, beta)[2]
 
 
 def pinsker_check(gamma, beta) -> Certificate:
     """l1 distance against sqrt(7 * min mass * rho distance)."""
-    g = _positive_vector(gamma, "gamma")
-    b = _positive_vector(beta, "beta")
-    if g.shape != b.shape:
-        raise ShapeError(f"vector shapes {g.shape} and {b.shape} differ")
+    g, b, rho = _checked_rho(gamma, beta)
     empirical = float(np.abs(g - b).sum())
-    bound = float(np.sqrt(7.0 * min(g.sum(), b.sum()) * rho_distance(g, b)))
+    bound = float(np.sqrt(7.0 * min(g.sum(), b.sum()) * rho))
     return _certify("pinsker", empirical, bound)
 
 

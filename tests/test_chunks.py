@@ -31,9 +31,12 @@ from screenkhorn import (
     screenkhorn as solve,
 )
 from screenkhorn import core
+from screenkhorn.cli import write_matrix
 from screenkhorn.core import _CHUNK_ENTRIES, _EXP_UNDERFLOW, _marginals, _row_chunks
 from screenkhorn.screened import _FULL_LAYOUT_SHARE, build_problem
 from screenkhorn.screening import Budget, active_sets, epsilon_kappa, ratio_vectors
+
+from conftest import write_measures
 
 ROWS_PER_CHUNK = _CHUNK_ENTRIES // 1000
 SHAPES = {
@@ -42,18 +45,19 @@ SHAPES = {
     "partial last chunk": (4 * ROWS_PER_CHUNK + 7, 1000),
     "one row per chunk": (3, _CHUNK_ENTRIES + 3),
 }
-# inline: no worker thread, as in a process pinned to one CPU. racing: more
-# workers than this host's cores, all starting together, and every pass of
-# two chunks or more on several threads. workers first: the caller starts
-# late, so the workers take most chunks and the caller folds their stored
-# results
+# inline: no worker thread, as in a process pinned to one CPU. racing: up to
+# three workers, more than this host's cores, and every pass of two chunks or
+# more on several threads. workers first: the caller starts late, so the
+# workers take most chunks and the caller folds their stored results
 MODES = ("inline", "racing", "workers first")
 
 
 @contextmanager
-def chunk_workers(mode, monkeypatch):
-    saved = core._workers
-    core._workers = core._ChunkWorkers(0 if mode == "inline" else 3)
+def chunk_workers(mode, monkeypatch, cpus=4):
+    """Passes as on a process with `cpus` usable CPUs (one when inline), from
+    a pool with no worker started, which is stopped again afterwards."""
+    core._stop_workers()
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1 if mode == "inline" else cpus)
     if mode != "inline":
         monkeypatch.setattr(core, "_CHUNKS_PER_THREAD", 1)
     if mode == "workers first":
@@ -68,8 +72,7 @@ def chunk_workers(mode, monkeypatch):
         yield
     finally:
         monkeypatch.undo()
-        core._workers.stop()
-        core._workers = saved
+        core._stop_workers()
 
 
 def run_in(mode, monkeypatch, fn, *args):
@@ -100,23 +103,24 @@ class TestChunkPass:
             return rows.start
 
         interval = sys.getswitchinterval()
-        saved = core._workers
-        core._workers = core._ChunkWorkers(8)
-        try:
-            sys.setswitchinterval(1e-6)
-            deadline = time.monotonic() + 20.0
-            for _ in range(50):
-                core._chunk_pass(n, _CHUNK_ENTRIES, step, folded.append)
-                assert time.monotonic() < deadline
-        finally:
-            sys.setswitchinterval(interval)
-            core._workers.stop()
-            core._workers = saved
+        with chunk_workers("racing", monkeypatch, cpus=9):
+            try:
+                sys.setswitchinterval(1e-6)
+                deadline = time.monotonic() + 20.0
+                for _ in range(50):
+                    core._chunk_pass(n, _CHUNK_ENTRIES, step, folded.append)
+                    assert time.monotonic() < deadline
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(core._threads) == 8
         assert folded == list(range(n)) * 50
         assert np.all(ran == 50)
 
     def test_workers_take_chunks_from_the_back(self, monkeypatch):
-        # the caller's first chunk waits until a worker has run one
+        # the caller's first chunk waits until a worker has run one. The pool
+        # is started by a pass before: workers that the measured pass had to
+        # start could claim every chunk, chunk 0 too, while the caller starts
+        # the next one
         threads = {}
         worker_ran = threading.Event()
 
@@ -131,6 +135,7 @@ class TestChunkPass:
 
         folded = []
         with chunk_workers("racing", monkeypatch):
+            core._chunk_pass(40, _CHUNK_ENTRIES, lambda rows: None)
             core._chunk_pass(40, _CHUNK_ENTRIES, step, folded.append)
         assert folded == list(range(40))
         assert threads[0] == threading.current_thread().name
@@ -165,31 +170,43 @@ class TestChunkPass:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_each_thread_gets_a_full_share_of_chunks(self, threads, monkeypatch):
         # a pass of k shares of _CHUNKS_PER_THREAD chunks, and one chunk short
-        # of k + 1, is handed to the first k - 1 workers only. Stopping the
-        # workers runs every job still queued, so each worker handed the pass
-        # has joined it by then, late or not
+        # of k + 1, is handed to k - 1 workers only, and starts no more. The
+        # pass runs as on four usable CPUs, so the CPUs do not bound it
         share = core._CHUNKS_PER_THREAD
-        joined = []
+        handed = []
         help_ = core._Pass.help
 
         def recording_help(one_pass):
-            joined.append(threading.current_thread().name)
+            handed.append(one_pass)
             help_(one_pass)
 
         monkeypatch.setattr(core._Pass, "help", recording_help)
-        saved = core._workers
-        core._workers = core._ChunkWorkers(3)
         folded = []
-        try:
+        with chunk_workers("racing", monkeypatch):
+            monkeypatch.setattr(core, "_CHUNKS_PER_THREAD", share)
             core._chunk_pass(
                 (threads + 1) * share - 1, _CHUNK_ENTRIES, lambda rows: rows.start,
                 folded.append,
             )
-        finally:
-            core._workers.stop()
-            core._workers = saved
+            started = len(core._threads)
+        # stopping the workers runs every job still queued
         assert folded == list(range((threads + 1) * share - 1))
-        assert sorted(joined) == [f"screenkhorn-chunks-{i}" for i in range(threads - 1)]
+        assert (len(handed), started) == (threads - 1, threads - 1)
+
+    @pytest.mark.skipif(core._usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_a_64_chunk_pass_starts_one_worker(self):
+        # one chunk short of two threads' shares starts none
+        def workers():
+            return [t.name for t in threading.enumerate() if t.name.startswith("screenkhorn-")]
+
+        core._stop_workers()
+        try:
+            core._chunk_pass(63, _CHUNK_ENTRIES, lambda rows: None)
+            assert workers() == []
+            core._chunk_pass(64, _CHUNK_ENTRIES, lambda rows: None)
+            assert workers() == ["screenkhorn-chunks-0"]
+        finally:
+            core._stop_workers()
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
@@ -222,7 +239,8 @@ class TestBitwiseAcrossWorkers:
         want = run_in("inline", monkeypatch, _marginals, K, a, b)
         assert bits(*run_in(mode, monkeypatch, _marginals, K, a, b)) == bits(*want)
         pot = DualPotentials(u, v)
-        assert run_in(mode, monkeypatch, divergence, pot, K, C) == divergence(pot, K, C)
+        want = run_in("inline", monkeypatch, divergence, pot, K, C)
+        assert bits(run_in(mode, monkeypatch, divergence, pot, K, C)) == bits(want)
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_pairwise_euclidean(self, shape, mode, normalize, monkeypatch):
@@ -363,10 +381,10 @@ def fresh_interpreter(code):
 
 
 def child_report(conn):
-    """In a forked child: the kernel's digest and the child's live workers."""
+    """In a forked child: the kernel's digest and the child's workers, alive
+    or not."""
     digest = kernel_digest()
-    conn.send((digest, core._chunk_workers().count,
-               [t.is_alive() for t in core._workers.threads]))
+    conn.send((digest, [t.is_alive() for t in core._threads]))
     conn.close()
 
 
@@ -380,13 +398,13 @@ class TestProcesses:
             child.start()
             send.close()
             assert recv.poll(60), "the forked child sent nothing"
-            digest, count, alive = recv.recv()
+            digest, alive = recv.recv()
             child.join(60)
             assert not child.is_alive()
             assert child.exitcode == 0
         assert digest == want
-        assert count == core._usable_cpus()
-        assert all(alive)
+        # the digest's two chunks, one per thread, need one worker
+        assert alive == [True]
 
     def test_os_fork_child_computes_the_same_bits(self, monkeypatch):
         with chunk_workers("racing", monkeypatch):
@@ -419,7 +437,7 @@ class TestProcesses:
             + KERNEL_DIGEST
             + "from screenkhorn import core\n"
             "print(kernel_digest())\n"
-            "print(core._chunk_workers().count, threading.active_count())\n"
+            "print(core._usable_cpus(), threading.active_count())\n"
         )
         assert out == [kernel_digest(), "1 1"]
 
@@ -429,12 +447,42 @@ class TestProcesses:
         out = fresh_interpreter(
             "import atexit, threading\n"
             "atexit.register(lambda: print(sorted(t.name for t in threading.enumerate())))\n"
-            + KERNEL_DIGEST
-            + "from screenkhorn import core\n"
-            "kernel_digest()\n"
-            "print(len(core._workers.threads) == core._usable_cpus() - 1)\n"
+            "from screenkhorn import core\n"
+            "core._chunk_pass(64, core._CHUNK_ENTRIES, lambda rows: None)\n"
+            "print(len(core._threads) == min(2, core._usable_cpus()) - 1)\n"
         )
         assert out == ["True", "['MainThread']"]
+
+    def test_solves_at_n_1000_start_no_thread(self):
+        # every pass of a 1000 x 1000 solve is too short to hand a worker
+        # chunks, so none is started
+        out = fresh_interpreter(
+            "import threading\n"
+            "import numpy as np\n"
+            "from screenkhorn import (DiscreteMeasure, generate_gaussian_pair,\n"
+            "    gibbs_kernel, pairwise_euclidean, screenkhorn, sinkhorn)\n"
+            "x, y = generate_gaussian_pair(1000, 1000, 3)\n"
+            "C = pairwise_euclidean(x, y, True)\n"
+            "mu = DiscreteMeasure(np.full(1000, 1e-3))\n"
+            "screenkhorn(C, 1.0, mu, mu, 100, 100)\n"
+            "sinkhorn(mu, mu, gibbs_kernel(C, 1.0))\n"
+            "print(threading.active_count())\n"
+        )
+        assert out == ["1"]
+
+    def test_cli_solve_of_a_small_instance_starts_no_thread(self, tmp_path):
+        measures, cost = str(tmp_path / "measures.csv"), str(tmp_path / "cost.csv")
+        mu = DiscreteMeasure(np.arange(1.0, 21.0))
+        write_measures(measures, mu, mu)
+        write_matrix(cost, np.random.default_rng(0).uniform(size=(20, 20)))
+        out = fresh_interpreter(
+            "import threading\n"
+            "from screenkhorn.cli import main\n"
+            f"main(['solve', '--measures', {measures!r}, '--cost', {cost!r},\n"
+            "      '--eta', '1.0'], standalone_mode=False)\n"
+            "print(threading.active_count())\n"
+        )
+        assert out[-1] == "1"
 
     def test_import_starts_no_thread_and_loads_no_executor(self):
         out = fresh_interpreter(

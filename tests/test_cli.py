@@ -13,7 +13,7 @@ from screenkhorn import (
     screenkhorn,
 )
 from screenkhorn.bench import RESULT_COLUMNS
-from screenkhorn.core import _chunk_workers
+from screenkhorn.core import _usable_cpus
 from screenkhorn.cli import (
     _parse_budget_spec,
     _parse_float_list,
@@ -118,7 +118,7 @@ class TestSolveCommand:
         assert "stop reason pg_tolerance" in lines
         assert f"sweeps {report.iterations}" in lines
         assert f"products {2 * report.iterations}" in lines
-        assert f"chunk workers {_chunk_workers().count}" in lines
+        assert f"chunk workers {_usable_cpus()}" in lines
 
     def test_writes_plan_file(self, runner, instance_files, tmp_path):
         plan_path = str(tmp_path / "plan.csv")
@@ -244,7 +244,7 @@ class TestCompareCommand:
         assert "converged false" in result.output
         lines = result.output.splitlines()
         assert {"stop reason max_iterations", "sweeps 1", "products 2",
-                f"chunk workers {_chunk_workers().count}"} <= set(lines)
+                f"chunk workers {_usable_cpus()}"} <= set(lines)
         assert "certificates skipped" in result.output
         assert "certificate box-containment" not in result.output
 

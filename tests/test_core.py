@@ -19,7 +19,7 @@ from screenkhorn import (
     plan_from_potentials,
     sinkhorn,
 )
-from screenkhorn.core import _CHUNK_ENTRIES, _EXP_UNDERFLOW
+from screenkhorn.core import _CHUNK_ENTRIES, _CHUNKS_PER_THREAD, _EXP_UNDERFLOW, _usable_cpus
 from conftest import dense_plan, random_instance
 from oracle import dual_objective
 
@@ -371,6 +371,22 @@ class TestDivergence:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_no_plan_sized_allocation_on_workers(self):
+        # 64 one-row chunks, a pass long enough for two threads: each thread
+        # holds one chunk product at a time
+        n, m = 64, _CHUNK_ENTRIES
+        C = CostMatrix(np.random.default_rng(5).uniform(size=(n, m)))
+        K = gibbs_kernel(C, 1.0)
+        pot = DualPotentials(np.zeros(n), np.zeros(m))
+        threads = min(n // _CHUNKS_PER_THREAD, _usable_cpus())
+        tracemalloc.start()
+        try:
+            divergence(pot, K, C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < threads << 20
 
 
 class TestSinkhorn:
