@@ -80,7 +80,7 @@ def _serve(jobs: queue.SimpleQueue) -> None:
 # the worker threads, daemons all fed by one queue of jobs. A child made by
 # fork inherits these but none of the threads, so the child drops them and
 # starts its own; the interpreter stops the threads at exit
-_jobs: queue.SimpleQueue = queue.SimpleQueue()
+_jobs = queue.SimpleQueue()
 _threads: list[threading.Thread] = []
 _threads_lock = threading.Lock()
 
