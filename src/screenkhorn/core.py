@@ -20,13 +20,15 @@ chunks from the back and keep one partial per chunk, which the caller folds
 afterwards in chunk order. So every output is bitwise the one a single
 thread gives, whatever the number of threads or the point where the two ends
 meet, and a process pinned to one CPU runs the same steps with no worker.
-The BLAS products of sinkhorn and the screened solve stay on the calling
-thread.
+sinkhorn makes one such pass per iteration, whose chunks form their rows of
+K b and of the next a and their part of K^T a with BLAS gemv. The BLAS
+products of the screened solve stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import atexit
+import operator
 import os
 import queue
 import threading
@@ -548,6 +550,40 @@ def divergence(pot: DualPotentials, K: GibbsKernel, C: CostMatrix) -> float:
     return float(cost)
 
 
+def _check_iteration_cap(name: str, value) -> None:
+    """Refuse an iteration cap that is not an integer of at least 1; numpy
+    integers pass, as any type with __index__ does."""
+    try:
+        cap = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if cap < 1:
+        raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
+def _scaling_pass(
+    km: np.ndarray, w_mu: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K b, the next a = mu / (K b) and K^T a, from one pass over K: each
+    chunk forms its rows of K b and of a, then its part of K^T a while it
+    sits in cache. A zero in K b gives an infinite a without a warning; the
+    caller's violation test meets it."""
+    n, m = km.shape
+    kb = np.empty(n)
+    a = np.empty(n)
+    kta = np.zeros(m)
+
+    def products(rows):
+        chunk = km[rows]
+        np.dot(chunk, b, out=kb[rows])
+        np.divide(w_mu[rows], kb[rows], out=a[rows])
+        return np.dot(a[rows], chunk)
+
+    with np.errstate(divide="ignore"):
+        _chunk_pass(n, m, products, partial(np.add, kta, out=kta))
+    return kb, a, kta
+
+
 def sinkhorn(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -560,27 +596,37 @@ def sinkhorn(
     Stops once the combined l1 violation of both marginals drops below
     stop_threshold. Hitting max_iter is not an error: the solution comes back
     with converged=False and whatever violation was last measured.
+
+    Each iteration is one row-chunk pass over K (see _chunk_pass), so T
+    iterations read K 1 + T times: the first a is mu over K's cached row
+    sums, one pass forms K^T a, and each iteration's pass forms K b for its
+    violation together with the next iteration's a and K^T a. The last
+    pass's a and K^T a go unused.
     """
     if not (stop_threshold > 0.0):
         raise ParameterError(f"stop_threshold must be positive, got {stop_threshold}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    _, m = _check_sizes(mu, nu, K)
+    _check_iteration_cap("max_iter", max_iter)
+    n, m = _check_sizes(mu, nu, K)
 
     km = K.entries
     w_mu = mu.weights
     w_nu = nu.weights
-    b = np.ones(m)
-    kb = km @ b
     converged = False
     violation = np.inf
-    it = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        # the pass of iteration it - 1 (or the first pass) leaves iteration
+        # it its a and K^T a, so the scalings returned are those of the last
+        # violation measured
+        next_a = w_mu / K.row_sums
+        next_kta = np.zeros(m)
+        _chunk_pass(
+            n, m, lambda rows: np.dot(next_a[rows], km[rows]),
+            partial(np.add, next_kta, out=next_kta),
+        )
         for it in range(1, max_iter + 1):
-            a = w_mu / kb
-            kta = km.T @ a
+            a, kta = next_a, next_kta
             b = w_nu / kta
-            kb = km @ b
+            kb, next_a, next_kta = _scaling_pass(km, w_mu, b)
             # after the b update the column marginal is exact up to roundoff,
             # so only the row marginal needs a fresh kernel product
             violation = float(

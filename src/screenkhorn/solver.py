@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _check_iteration_cap
 from .errors import InputError, NumericRangeError, ParameterError, ShapeError
 from .screened import BoxBounds, ScreenedDualProblem
 
@@ -53,10 +54,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.pg_tolerance > 0.0):
             raise ParameterError(f"pg_tolerance must be positive, got {self.pg_tolerance}")
-        if self.max_iterations < 1:
-            raise ParameterError(
-                f"max_iterations must be at least 1, got {self.max_iterations}"
-            )
+        _check_iteration_cap("max_iterations", self.max_iterations)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,9 @@
 method that the tests compare minimize() and the clipped sweeps against, the
 screened objective and gradient summed from dense plans, once from a
 compact-layout problem's own block and cross sums and once from the whole
-kernel, and the plain (unscreened) dual objective. None of them shares code
-with the quasi-Newton path, the sweeps or evaluate().
+kernel, the plain (unscreened) dual objective, and Sinkhorn as two whole
+products per iteration. None of them shares code with the quasi-Newton
+path, the sweeps, evaluate() or sinkhorn()'s one pass per iteration.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from screenkhorn import (
     DiscreteMeasure,
     DualPotentials,
+    DualSolution,
     GibbsKernel,
     InputError,
     NumericRangeError,
@@ -90,6 +92,51 @@ def dual_objective(
     if not np.isfinite(mass):
         raise NumericRangeError("dual objective mass term overflows")
     return float(mass - pot.u @ mu.weights - pot.v @ nu.weights)
+
+
+def reference_sinkhorn(
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    K: GibbsKernel,
+    stop_threshold: float = 1e-9,
+    max_iter: int = 1000,
+) -> DualSolution:
+    """sinkhorn() with two whole products per iteration, K^T a then K b, from
+    b = 1: the iterations, stop test, violation and errors that the one-pass
+    loop keeps."""
+    _, m = _check_sizes(mu, nu, K)
+    km = K.entries
+    w_mu = mu.weights
+    w_nu = nu.weights
+    b = np.ones(m)
+    kb = km @ b
+    converged = False
+    violation = np.inf
+    it = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            a = w_mu / kb
+            kta = km.T @ a
+            b = w_nu / kta
+            kb = km @ b
+            violation = float(
+                np.abs(a * kb - w_mu).sum() + np.abs(b * kta - w_nu).sum()
+            )
+            if not np.isfinite(violation):
+                raise NumericRangeError(
+                    f"scaling iteration {it} overflowed; eta = {K.eta} is too small "
+                    "for this cost matrix"
+                )
+            if violation < stop_threshold:
+                converged = True
+                break
+
+    with np.errstate(divide="ignore"):
+        u = np.log(a)
+        v = np.log(b)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise NumericRangeError("scaling vector collapsed to zero, potentials diverge")
+    return DualSolution(DualPotentials(u, v), it, violation, converged)
 
 
 def _others(size, active):

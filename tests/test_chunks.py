@@ -29,6 +29,7 @@ from screenkhorn import (
     gibbs_kernel,
     pairwise_euclidean,
     screenkhorn as solve,
+    sinkhorn,
 )
 from screenkhorn import core
 from screenkhorn.cli import write_matrix
@@ -241,6 +242,18 @@ class TestBitwiseAcrossWorkers:
         pot = DualPotentials(u, v)
         want = run_in("inline", monkeypatch, divergence, pot, K, C)
         assert bits(run_in(mode, monkeypatch, divergence, pot, K, C)) == bits(want)
+
+    def test_sinkhorn(self, shape, mode, monkeypatch):
+        K = gibbs_kernel(CostMatrix(cost(shape, 5)), 0.5)
+        rng = np.random.default_rng(6)
+        mu = DiscreteMeasure(rng.exponential(size=shape[0]))
+        nu = DiscreteMeasure(rng.exponential(size=shape[1]))
+        want = run_in("inline", monkeypatch, sinkhorn, mu, nu, K)
+        got = run_in(mode, monkeypatch, sinkhorn, mu, nu, K)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert bits(got.potentials.u, got.potentials.v, got.marginal_violation) == bits(
+            want.potentials.u, want.potentials.v, want.marginal_violation
+        )
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_pairwise_euclidean(self, shape, mode, normalize, monkeypatch):

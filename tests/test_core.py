@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,13 +16,15 @@ from screenkhorn import (
     ParameterError,
     ShapeError,
     divergence,
+    generate_gaussian_pair,
     gibbs_kernel,
+    pairwise_euclidean,
     plan_from_potentials,
     sinkhorn,
 )
 from screenkhorn.core import _CHUNK_ENTRIES, _CHUNKS_PER_THREAD, _EXP_UNDERFLOW, _usable_cpus
 from conftest import dense_plan, random_instance
-from oracle import dual_objective
+from oracle import dual_objective, reference_sinkhorn
 
 # rows of 1000 put 65 rows in a chunk, so 137 rows end partway through the
 # third chunk; a row wider than a chunk makes every chunk a single row
@@ -443,3 +446,80 @@ class TestSinkhorn:
             sinkhorn(mu, nu, K, max_iter=0)
         with pytest.raises(ShapeError):
             sinkhorn(DiscreteMeasure(np.ones(4)), nu, K)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, np.float64(3.0), "3", None])
+    def test_rejects_a_cap_that_is_not_an_integer(self, max_iter):
+        mu, nu, _, K = random_instance(1, 3, 3)
+        with pytest.raises(ParameterError, match="max_iter must be an integer"):
+            sinkhorn(mu, nu, K, max_iter=max_iter)
+
+    def test_accepts_a_numpy_integer_cap(self):
+        mu, nu, _, K = random_instance(5, 5, 5, eta=0.05)
+        sol = sinkhorn(mu, nu, K, stop_threshold=1e-14, max_iter=np.int64(2))
+        assert (sol.iterations, sol.converged) == (2, False)
+
+    def test_no_plan_sized_allocation(self):
+        # K at n = m = 1000 takes 8 MB; each pass holds vectors of length n
+        # or m and one chunk's product at a time
+        mu, nu, _, K = random_instance(5, 1000, 1000)
+        tracemalloc.start()
+        try:
+            sinkhorn(mu, nu, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def gaussian_instance(n, eta, uniform):
+    x, y = generate_gaussian_pair(n, n, 11)
+    if uniform:
+        weights = np.ones(n), np.ones(n)
+    else:
+        rng = np.random.default_rng(11)
+        weights = rng.exponential(size=n), rng.exponential(size=n)
+    K = gibbs_kernel(pairwise_euclidean(x, y, True), eta)
+    return DiscreteMeasure(weights[0]), DiscreteMeasure(weights[1]), K
+
+
+def assert_matches_reference(mu, nu, K, **kwargs):
+    got = sinkhorn(mu, nu, K, **kwargs)
+    want = reference_sinkhorn(mu, nu, K, **kwargs)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    np.testing.assert_allclose(got.potentials.u, want.potentials.u, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got.potentials.v, want.potentials.v, rtol=0, atol=1e-13)
+    assert got.marginal_violation == pytest.approx(want.marginal_violation, rel=0, abs=1e-15)
+
+
+class TestSinkhornAgainstReference:
+    """One pass over K per iteration against two whole products per
+    iteration: the same iterations and stop, the potentials up to rounding."""
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random weights"])
+    @pytest.mark.parametrize("eta", [1.0, 0.1, 0.05])
+    @pytest.mark.parametrize("n", [5, 200, 1000])
+    def test_converged_solves(self, n, eta, uniform):
+        assert_matches_reference(*gaussian_instance(n, eta, uniform))
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random weights"])
+    def test_iteration_cap(self, uniform):
+        assert_matches_reference(*gaussian_instance(200, 0.05, uniform), max_iter=2)
+
+    def test_zero_cost_one_sweep(self):
+        mu = DiscreteMeasure(np.array([0.3, 0.7]))
+        nu = DiscreteMeasure(np.array([0.6, 0.2, 0.2]))
+        K = gibbs_kernel(CostMatrix(np.zeros((2, 3))), 1.0)
+        assert_matches_reference(mu, nu, K)
+
+    def test_overflow_at_the_same_iteration(self):
+        tiny = 5e-324
+        K = GibbsKernel(np.array([[1.0, tiny], [tiny, tiny]]), 1.0)
+        mu = DiscreteMeasure(np.array([0.5, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError) as want:
+                reference_sinkhorn(mu, mu, K)
+            with pytest.raises(NumericRangeError) as got:
+                sinkhorn(mu, mu, K)
+        assert "iteration" in str(want.value)
+        assert str(got.value) == str(want.value)

@@ -90,6 +90,14 @@ class TestSolverConfig:
         with pytest.raises(ParameterError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("max_iterations", [2.5, 3.0, "3", None])
+    def test_rejects_a_cap_that_is_not_an_integer(self, max_iterations):
+        with pytest.raises(ParameterError, match="max_iterations must be an integer"):
+            SolverConfig(max_iterations=max_iterations)
+
+    def test_accepts_a_numpy_integer_cap(self):
+        assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
+
 
 class TestProjectedGradient:
     def test_interior_passthrough(self):
