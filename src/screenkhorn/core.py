@@ -21,8 +21,10 @@ afterwards in chunk order. So every output is bitwise the one a single
 thread gives, whatever the number of threads or the point where the two ends
 meet, and a process pinned to one CPU runs the same steps with no worker.
 sinkhorn makes one such pass per iteration, whose chunks form their rows of
-K b and of the next a and their part of K^T a with BLAS gemv. The BLAS
-products of the screened solve stay on the calling thread.
+K b and of the next a and their part of K^T a with BLAS gemv; its chunks are
+32 MB, large enough for a multithreaded BLAS to spread each product over its
+own threads. The BLAS products of the screened solve stay on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -58,10 +60,23 @@ _CHUNK_ENTRIES = 1 << 16
 _CHUNKS_PER_THREAD = 32
 
 
-def _row_chunks(n: int, m: int):
-    """Slices of consecutive rows that cover range(n), with about
-    _CHUNK_ENTRIES entries each and never less than one row."""
-    step = max(1, _CHUNK_ENTRIES // max(m, 1))
+# entries per chunk of a Sinkhorn iteration's pass (_scaling_pass): 2**22
+# (32 MB), so a 1000 x 1000 kernel is one chunk and a 4000 x 4000 one four.
+# Each chunk's K b and K^T a are then gemv calls large enough for a
+# multithreaded OpenBLAS to spread over its own threads, as it does the
+# whole products (a gemv of 260,000 entries ran on one thread, one of
+# 500,000 on two), while the pass over a large K still splits between the
+# chunk workers when BLAS runs one thread. With 512 KB chunks every gemv ran
+# on one thread, and under OpenBLAS's default threads sinkhorn took 1.5 to
+# 1.8 times as long as with two whole products per iteration, at
+# n = m = 1000 and 4000
+_SCALING_CHUNK_ENTRIES = 1 << 22
+
+
+def _row_chunks(n: int, m: int, entries: int | None = None):
+    """Slices of consecutive rows that cover range(n), with about `entries`
+    (by default _CHUNK_ENTRIES) entries each and never less than one row."""
+    step = max(1, (_CHUNK_ENTRIES if entries is None else entries) // max(m, 1))
     for lo in range(0, n, step):
         yield slice(lo, min(lo + step, n))
 
@@ -206,26 +221,40 @@ class _Pass:
 
 
 def _chunk_pass(
-    n: int, m: int, step: Callable[[slice], object], fold: Callable | None = None
+    n: int,
+    m: int,
+    step: Callable[[slice], object],
+    fold: Callable | None = None,
+    entries: int | None = None,
 ) -> None:
-    """Call step(rows) on every chunk of _row_chunks(n, m), spread over as
-    many threads, the calling one included and at most one per usable CPU,
-    as get _CHUNKS_PER_THREAD chunks each, and fold(result) on each chunk's
-    result in chunk order on the calling thread.
+    """Call step(rows) on every chunk of _row_chunks(n, m, entries), spread
+    over as many threads, the calling one included and at most one per
+    usable CPU and one per chunk, as get the entries of _CHUNKS_PER_THREAD
+    chunks of _CHUNK_ENTRIES each, and fold(result) on each chunk's result
+    in chunk order on the calling thread.
 
     An exception in a step stops the thread that ran it. Once every thread
     has stopped, the exception of the earliest chunk is raised: every chunk
     before it has run, so it is the one a single thread would have met.
     """
-    chunks = list(_row_chunks(n, m))
+    entries = _CHUNK_ENTRIES if entries is None else entries
+    chunks = list(_row_chunks(n, m, entries))
+    shares = len(chunks) * entries // (_CHUNKS_PER_THREAD * _CHUNK_ENTRIES)
+    helpers = min(shares, len(chunks), _usable_cpus()) - 1 if shares > 1 else 0
+    if helpers <= 0:
+        # the same steps in the same order as a _Pass with no worker,
+        # without its locks and queue
+        for rows in chunks:
+            result = step(rows)
+            if fold is not None:
+                fold(result)
+        return
     one_pass = _Pass(chunks, step)
-    helpers = min(len(chunks) // _CHUNKS_PER_THREAD, _usable_cpus()) - 1
-    if helpers > 0:
-        # started before any job is queued: a thread that fails to start
-        # leaves no job behind to run chunks of a pass that has raised
-        _start_workers(helpers)
-        for _ in range(helpers):
-            _jobs.put(one_pass.help)
+    # started before any job is queued: a thread that fails to start leaves
+    # no job behind to run chunks of a pass that has raised
+    _start_workers(helpers)
+    for _ in range(helpers):
+        _jobs.put(one_pass.help)
     one_pass.run(fold)
 
 
@@ -562,25 +591,30 @@ def _check_iteration_cap(name: str, value) -> None:
 
 
 def _scaling_pass(
-    km: np.ndarray, w_mu: np.ndarray, b: np.ndarray
+    K: GibbsKernel, w_mu: np.ndarray, b: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K b, the next a = mu / (K b) and K^T a, from one pass over K: each
     chunk forms its rows of K b and of a, then its part of K^T a while it
-    sits in cache. A zero in K b gives an infinite a without a warning; the
-    caller's violation test meets it."""
+    is still cached. b = None stands for b = 1, whose K b are K's row sums,
+    so that pass forms only a and K^T a. A zero in K b gives an infinite a
+    without a warning; the caller's violation test meets it."""
+    km = K.entries
     n, m = km.shape
-    kb = np.empty(n)
+    kb = K.row_sums if b is None else np.empty(n)
     a = np.empty(n)
     kta = np.zeros(m)
 
     def products(rows):
         chunk = km[rows]
-        np.dot(chunk, b, out=kb[rows])
+        if b is not None:
+            np.dot(chunk, b, out=kb[rows])
         np.divide(w_mu[rows], kb[rows], out=a[rows])
         return np.dot(a[rows], chunk)
 
     with np.errstate(divide="ignore"):
-        _chunk_pass(n, m, products, partial(np.add, kta, out=kta))
+        _chunk_pass(
+            n, m, products, partial(np.add, kta, out=kta), _SCALING_CHUNK_ENTRIES
+        )
     return kb, a, kta
 
 
@@ -597,18 +631,17 @@ def sinkhorn(
     stop_threshold. Hitting max_iter is not an error: the solution comes back
     with converged=False and whatever violation was last measured.
 
-    Each iteration is one row-chunk pass over K (see _chunk_pass), so T
-    iterations read K 1 + T times: the first a is mu over K's cached row
-    sums, one pass forms K^T a, and each iteration's pass forms K b for its
-    violation together with the next iteration's a and K^T a. The last
-    pass's a and K^T a go unused.
+    Each iteration is one row-chunk pass over K (see _chunk_pass and
+    _SCALING_CHUNK_ENTRIES), so T iterations read K 1 + T times: the first a
+    is mu over K's cached row sums, one pass forms K^T a, and each
+    iteration's pass forms K b for its violation together with the next
+    iteration's a and K^T a. The last pass's a and K^T a go unused.
     """
     if not (stop_threshold > 0.0):
         raise ParameterError(f"stop_threshold must be positive, got {stop_threshold}")
     _check_iteration_cap("max_iter", max_iter)
-    n, m = _check_sizes(mu, nu, K)
+    _check_sizes(mu, nu, K)
 
-    km = K.entries
     w_mu = mu.weights
     w_nu = nu.weights
     converged = False
@@ -617,16 +650,11 @@ def sinkhorn(
         # the pass of iteration it - 1 (or the first pass) leaves iteration
         # it its a and K^T a, so the scalings returned are those of the last
         # violation measured
-        next_a = w_mu / K.row_sums
-        next_kta = np.zeros(m)
-        _chunk_pass(
-            n, m, lambda rows: np.dot(next_a[rows], km[rows]),
-            partial(np.add, next_kta, out=next_kta),
-        )
+        _, next_a, next_kta = _scaling_pass(K, w_mu)
         for it in range(1, max_iter + 1):
             a, kta = next_a, next_kta
             b = w_nu / kta
-            kb, next_a, next_kta = _scaling_pass(km, w_mu, b)
+            kb, next_a, next_kta = _scaling_pass(K, w_mu, b)
             # after the b update the column marginal is exact up to roundoff,
             # so only the row marginal needs a fresh kernel product
             violation = float(

@@ -59,6 +59,9 @@ def chunk_workers(mode, monkeypatch, cpus=4):
     a pool with no worker started, which is stopped again afterwards."""
     core._stop_workers()
     monkeypatch.setattr(core, "_usable_cpus", lambda: 1 if mode == "inline" else cpus)
+    # Sinkhorn's passes too take chunks of _CHUNK_ENTRIES, so every mode
+    # splits them alike
+    monkeypatch.setattr(core, "_SCALING_CHUNK_ENTRIES", _CHUNK_ENTRIES)
     if mode != "inline":
         monkeypatch.setattr(core, "_CHUNKS_PER_THREAD", 1)
     if mode == "workers first":
@@ -192,6 +195,32 @@ class TestChunkPass:
             started = len(core._threads)
         # stopping the workers runs every job still queued
         assert folded == list(range((threads + 1) * share - 1))
+        assert (len(handed), started) == (threads - 1, threads - 1)
+
+    @pytest.mark.parametrize(
+        "factor, chunks, threads", [(16, 3, 1), (16, 4, 2), (64, 1, 1), (64, 2, 2)]
+    )
+    def test_larger_chunks_share_by_entries(self, factor, chunks, threads, monkeypatch):
+        # chunks of `factor` default chunks' entries, as Sinkhorn's passes
+        # take: a thread gets the entries of _CHUNKS_PER_THREAD default
+        # chunks and at least one chunk, so a one-chunk pass runs inline
+        handed = []
+        help_ = core._Pass.help
+
+        def recording_help(one_pass):
+            handed.append(one_pass)
+            help_(one_pass)
+
+        monkeypatch.setattr(core._Pass, "help", recording_help)
+        folded = []
+        with chunk_workers("racing", monkeypatch):
+            monkeypatch.setattr(core, "_CHUNKS_PER_THREAD", 32)
+            core._chunk_pass(
+                chunks * factor, _CHUNK_ENTRIES, lambda rows: rows.start,
+                folded.append, factor * _CHUNK_ENTRIES,
+            )
+            started = len(core._threads)
+        assert folded == list(range(0, chunks * factor, factor))
         assert (len(handed), started) == (threads - 1, threads - 1)
 
     @pytest.mark.skipif(core._usable_cpus() < 2, reason="needs two usable CPUs")

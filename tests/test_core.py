@@ -427,9 +427,10 @@ class TestSinkhorn:
 
     def test_iteration_cap_flags_nonconvergence(self):
         mu, nu, _, K = random_instance(5, 5, 5, eta=0.05)
-        sol = sinkhorn(mu, nu, K, stop_threshold=1e-14, max_iter=2)
-        assert not sol.converged
-        assert sol.iterations == 2
+        for cap in (2, np.int64(2)):
+            sol = sinkhorn(mu, nu, K, stop_threshold=1e-14, max_iter=cap)
+            assert not sol.converged
+            assert sol.iterations == 2
 
     def test_overflow_raises(self):
         tiny = 5e-324
@@ -444,19 +445,11 @@ class TestSinkhorn:
             sinkhorn(mu, nu, K, stop_threshold=0.0)
         with pytest.raises(ParameterError):
             sinkhorn(mu, nu, K, max_iter=0)
+        for cap in (2.5, 3.0, np.float64(3.0), "3", None):
+            with pytest.raises(ParameterError, match="max_iter must be an integer"):
+                sinkhorn(mu, nu, K, max_iter=cap)
         with pytest.raises(ShapeError):
             sinkhorn(DiscreteMeasure(np.ones(4)), nu, K)
-
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0, np.float64(3.0), "3", None])
-    def test_rejects_a_cap_that_is_not_an_integer(self, max_iter):
-        mu, nu, _, K = random_instance(1, 3, 3)
-        with pytest.raises(ParameterError, match="max_iter must be an integer"):
-            sinkhorn(mu, nu, K, max_iter=max_iter)
-
-    def test_accepts_a_numpy_integer_cap(self):
-        mu, nu, _, K = random_instance(5, 5, 5, eta=0.05)
-        sol = sinkhorn(mu, nu, K, stop_threshold=1e-14, max_iter=np.int64(2))
-        assert (sol.iterations, sol.converged) == (2, False)
 
     def test_no_plan_sized_allocation(self):
         # K at n = m = 1000 takes 8 MB; each pass holds vectors of length n

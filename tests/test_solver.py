@@ -84,19 +84,15 @@ class TestSolverConfig:
             {"pg_tolerance": 0.0},
             {"pg_tolerance": -1e-6},
             {"max_iterations": 0},
+            {"max_iterations": 2.5},
+            {"max_iterations": 3.0},
+            {"max_iterations": "3"},
+            {"max_iterations": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
             SolverConfig(**kwargs)
-
-    @pytest.mark.parametrize("max_iterations", [2.5, 3.0, "3", None])
-    def test_rejects_a_cap_that_is_not_an_integer(self, max_iterations):
-        with pytest.raises(ParameterError, match="max_iterations must be an integer"):
-            SolverConfig(max_iterations=max_iterations)
-
-    def test_accepts_a_numpy_integer_cap(self):
-        assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestProjectedGradient:
@@ -450,7 +446,8 @@ class TestSetulbDrive:
     def test_iteration_cap_stops_at_scipy_point(self):
         f, g = self.coupled_quadratic(11, 8)
         lower, upper = self.mixed_box()
-        config = SolverConfig(pg_tolerance=1e-10, max_iterations=2)
+        # a numpy integer is an integer cap
+        config = SolverConfig(pg_tolerance=1e-10, max_iterations=np.int64(2))
         report = minimize(fg(f, g), lower, upper, np.zeros(8), config)
         expected, _ = scipy_report(f, g, lower, upper, np.zeros(8), config)
         assert report.iterations == 2
