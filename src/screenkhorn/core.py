@@ -20,11 +20,10 @@ chunks from the back and keep one partial per chunk, which the caller folds
 afterwards in chunk order. So every output is bitwise the one a single
 thread gives, whatever the number of threads or the point where the two ends
 meet, and a process pinned to one CPU runs the same steps with no worker.
-sinkhorn makes one such pass per iteration, whose chunks form their rows of
-K b and of the next a and their part of K^T a with BLAS gemv; its chunks are
-32 MB, large enough for a multithreaded BLAS to spread each product over its
-own threads. The BLAS products of the screened solve stay on the calling
-thread.
+sinkhorn and the screened solve form every product with K or M, M b and
+a M, in such passes too (_matvec, _vecmat): each chunk forms its rows of
+M b, or its part of a M, with one BLAS gemv. Their chunks are 32 MB, large
+enough for a multithreaded BLAS to spread each product over its own threads.
 """
 
 from __future__ import annotations
@@ -60,17 +59,16 @@ _CHUNK_ENTRIES = 1 << 16
 _CHUNKS_PER_THREAD = 32
 
 
-# entries per chunk of a Sinkhorn iteration's pass (_scaling_pass): 2**22
-# (32 MB), so a 1000 x 1000 kernel is one chunk and a 4000 x 4000 one four.
-# Each chunk's K b and K^T a are then gemv calls large enough for a
-# multithreaded OpenBLAS to spread over its own threads, as it does the
-# whole products (a gemv of 260,000 entries ran on one thread, one of
-# 500,000 on two), while the pass over a large K still splits between the
-# chunk workers when BLAS runs one thread. With 512 KB chunks every gemv ran
-# on one thread, and under OpenBLAS's default threads sinkhorn took 1.5 to
-# 1.8 times as long as with two whole products per iteration, at
-# n = m = 1000 and 4000
-_SCALING_CHUNK_ENTRIES = 1 << 22
+# entries per chunk of a product pass (_matvec, _vecmat): 2**22 (32 MB), so
+# a 1000 x 1000 kernel is one chunk and a 4000 x 4000 one four. Each chunk's
+# product is then a gemv call large enough for a multithreaded OpenBLAS to
+# spread over its own threads, as it does the whole product (a gemv of
+# 260,000 entries ran on one thread, one of 500,000 on two), while the pass
+# over a large matrix still splits between the chunk workers when BLAS runs
+# one thread. With 512 KB chunks every gemv ran on one thread, and under
+# OpenBLAS's default threads sinkhorn took 1.5 to 1.8 times as long as with
+# two whole products per iteration, at n = m = 1000 and 4000
+_PRODUCT_CHUNK_ENTRIES = 1 << 22
 
 
 def _row_chunks(n: int, m: int, entries: int | None = None):
@@ -507,6 +505,26 @@ def _check_sizes(
     return n, m
 
 
+def _matvec(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matrix @ b, by one product pass whose chunks write their rows."""
+    out = np.empty(matrix.shape[0])
+    _chunk_pass(
+        *matrix.shape, lambda rows: np.dot(matrix[rows], b, out=out[rows]),
+        entries=_PRODUCT_CHUNK_ENTRIES,
+    )
+    return out
+
+
+def _vecmat(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """a @ matrix, by one product pass whose chunk partials fold in order."""
+    out = np.zeros(matrix.shape[1])
+    _chunk_pass(
+        *matrix.shape, lambda rows: np.dot(a[rows], matrix[rows]),
+        partial(np.add, out, out=out), _PRODUCT_CHUNK_ENTRIES,
+    )
+    return out
+
+
 def _marginals(
     K: GibbsKernel, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -519,7 +537,10 @@ def _marginals(
 
     # np.dot calls the same BLAS gemv as @, bit for bit, and lets another
     # thread run during it; chunk @ b did not (numpy 2.4: a 1000 x 1000 pass
-    # of it took 0.59 ms on two threads against 0.45 ms on one)
+    # of it took 0.59 ms on two threads against 0.45 ms on one). Taken at one
+    # point, the two products share each chunk while it sits in L2: with one
+    # BLAS thread that beat _matvec and _vecmat, 0.50 against 0.63 ms at
+    # n = m = 1000, but not on OpenBLAS's default two (0.45 against 0.29 ms)
     def products(rows):
         chunk = km[rows]
         np.dot(chunk, b, out=kb[rows])
@@ -590,34 +611,6 @@ def _check_iteration_cap(name: str, value) -> None:
         raise ParameterError(f"{name} must be at least 1, got {value}")
 
 
-def _scaling_pass(
-    K: GibbsKernel, w_mu: np.ndarray, b: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K b, the next a = mu / (K b) and K^T a, from one pass over K: each
-    chunk forms its rows of K b and of a, then its part of K^T a while it
-    is still cached. b = None stands for b = 1, whose K b are K's row sums,
-    so that pass forms only a and K^T a. A zero in K b gives an infinite a
-    without a warning; the caller's violation test meets it."""
-    km = K.entries
-    n, m = km.shape
-    kb = K.row_sums if b is None else np.empty(n)
-    a = np.empty(n)
-    kta = np.zeros(m)
-
-    def products(rows):
-        chunk = km[rows]
-        if b is not None:
-            np.dot(chunk, b, out=kb[rows])
-        np.divide(w_mu[rows], kb[rows], out=a[rows])
-        return np.dot(a[rows], chunk)
-
-    with np.errstate(divide="ignore"):
-        _chunk_pass(
-            n, m, products, partial(np.add, kta, out=kta), _SCALING_CHUNK_ENTRIES
-        )
-    return kb, a, kta
-
-
 def sinkhorn(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -625,36 +618,36 @@ def sinkhorn(
     stop_threshold: float = 1e-9,
     max_iter: int = 1000,
 ) -> DualSolution:
-    """Alternating scaling iterations a = mu/(K b), b = nu/(K^T a).
+    """Alternating scaling iterations a = mu/(K b), b = nu/(K^T a) from b = 1.
 
     Stops once the combined l1 violation of both marginals drops below
     stop_threshold. Hitting max_iter is not an error: the solution comes back
     with converged=False and whatever violation was last measured.
 
-    Each iteration is one row-chunk pass over K (see _chunk_pass and
-    _SCALING_CHUNK_ENTRIES), so T iterations read K 1 + T times: the first a
-    is mu over K's cached row sums, one pass forms K^T a, and each
-    iteration's pass forms K b for its violation together with the next
-    iteration's a and K^T a. The last pass's a and K^T a go unused.
+    Each iteration forms K^T a and K b by one product pass over K each (see
+    _vecmat, _matvec and _PRODUCT_CHUNK_ENTRIES), so T iterations read K
+    2T times: the first K b, for b = 1, is K's cached row sums.
     """
     if not (stop_threshold > 0.0):
         raise ParameterError(f"stop_threshold must be positive, got {stop_threshold}")
     _check_iteration_cap("max_iter", max_iter)
     _check_sizes(mu, nu, K)
 
+    km = K.entries
     w_mu = mu.weights
     w_nu = nu.weights
+    kb = K.row_sums
     converged = False
     violation = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        # the pass of iteration it - 1 (or the first pass) leaves iteration
-        # it its a and K^T a, so the scalings returned are those of the last
-        # violation measured
-        _, next_a, next_kta = _scaling_pass(K, w_mu)
         for it in range(1, max_iter + 1):
-            a, kta = next_a, next_kta
+            # a zero in K b gives an infinite a without a warning; the next
+            # iteration's violation test meets it
+            with np.errstate(divide="ignore"):
+                a = w_mu / kb
+            kta = _vecmat(a, km)
             b = w_nu / kta
-            kb, next_a, next_kta = _scaling_pass(K, w_mu, b)
+            kb = _matvec(km, b)
             # after the b update the column marginal is exact up to roundoff,
             # so only the row marginal needs a fresh kernel product
             violation = float(

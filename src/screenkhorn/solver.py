@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _check_iteration_cap
+from .core import _check_iteration_cap, _matvec, _vecmat
 from .errors import InputError, NumericRangeError, ParameterError, ShapeError
 from .screened import BoxBounds, ScreenedDualProblem
 
@@ -134,7 +134,8 @@ def restricted_sinkhorn(
     of exp(log(.)), which grows with nu_J / kappa: 1.6e6 at eta = 0.002,
     where nu_J / kappa is 2.5e20.) The run stops once that norm is at most
     pg_tolerance, or after max_iterations sweeps. The report's iterations
-    and evaluations both count sweeps, each one pair of products. The final
+    and evaluations both count sweeps, each one pair of products, which
+    sinkhorn()'s product passes form (core._vecmat, core._matvec). The final
     sweep's products, a_hat at the returned u times M b_hat and b_hat at the
     returned v times M^T a_hat, are also the row and column sums of
     diag(a_hat) M diag(b_hat) there, and the report carries them.
@@ -150,10 +151,10 @@ def restricted_sinkhorn(
         for sweeps in range(1, config.max_iterations + 1):
             a = np.exp(u)
             a_hat = p.row_vector(a)
-            ma = a_hat @ p.matrix
+            ma = _vecmat(a_hat, p.matrix)
             v = np.clip(np.log(p.nu_active / (p.kappa * ma[p.cols])), v_lo, v_hi)
             b_hat = p.col_vector(np.exp(v))
-            mb = p.matrix @ b_hat
+            mb = _matvec(p.matrix, b_hat)
             row_products = mb[p.rows]
             pg = projected_gradient(u, a * row_products - kappa_mu, u_lo, u_hi)
             pg_norm = float(np.abs(pg).max())

@@ -4,7 +4,7 @@ screened objective and gradient summed from dense plans, once from a
 compact-layout problem's own block and cross sums and once from the whole
 kernel, the plain (unscreened) dual objective, and Sinkhorn as two whole
 products per iteration. None of them shares code with the quasi-Newton
-path, the sweeps, evaluate() or sinkhorn()'s one pass per iteration.
+path, the sweeps, evaluate() or sinkhorn()'s product passes.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def reference_sinkhorn(
     max_iter: int = 1000,
 ) -> DualSolution:
     """sinkhorn() with two whole products per iteration, K^T a then K b, from
-    b = 1: the iterations, stop test, violation and errors that the one-pass
-    loop keeps."""
+    b = 1: the iterations, stop test, violation and errors that sinkhorn()'s
+    product passes keep."""
     _, m = _check_sizes(mu, nu, K)
     km = K.entries
     w_mu = mu.weights

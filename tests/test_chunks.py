@@ -59,9 +59,9 @@ def chunk_workers(mode, monkeypatch, cpus=4):
     a pool with no worker started, which is stopped again afterwards."""
     core._stop_workers()
     monkeypatch.setattr(core, "_usable_cpus", lambda: 1 if mode == "inline" else cpus)
-    # Sinkhorn's passes too take chunks of _CHUNK_ENTRIES, so every mode
+    # the product passes too take chunks of _CHUNK_ENTRIES, so every mode
     # splits them alike
-    monkeypatch.setattr(core, "_SCALING_CHUNK_ENTRIES", _CHUNK_ENTRIES)
+    monkeypatch.setattr(core, "_PRODUCT_CHUNK_ENTRIES", _CHUNK_ENTRIES)
     if mode != "inline":
         monkeypatch.setattr(core, "_CHUNKS_PER_THREAD", 1)
     if mode == "workers first":
@@ -201,7 +201,7 @@ class TestChunkPass:
         "factor, chunks, threads", [(16, 3, 1), (16, 4, 2), (64, 1, 1), (64, 2, 2)]
     )
     def test_larger_chunks_share_by_entries(self, factor, chunks, threads, monkeypatch):
-        # chunks of `factor` default chunks' entries, as Sinkhorn's passes
+        # chunks of `factor` default chunks' entries, as the product passes
         # take: a thread gets the entries of _CHUNKS_PER_THREAD default
         # chunks and at least one chunk, so a one-chunk pass runs inline
         handed = []
@@ -331,9 +331,14 @@ class TestScreenedAcrossWorkers:
         got = run_in(mode, monkeypatch, build_problem, mu, mu, K2, sr)
         assert got.k_min == k[np.ix_(sr.active_rows, sr.active_cols)].min()
 
-    def test_whole_screenkhorn_result(self, mode, monkeypatch):
-        C, mu, _, _ = screened_problem(1000, 0.3)
-        args = (C, 1.0, mu, mu, 300, 300, SolverConfig(pg_tolerance=1e-6))
+    @pytest.mark.parametrize("budget", [0.3, 0.99])
+    def test_whole_screenkhorn_result(self, mode, budget, monkeypatch):
+        # the sweeps' products with M span several product chunks here, the
+        # full layout's 1000 x 1000 M (budget 0.99) sixteen; on the default
+        # 32 MB chunks M is one chunk, whose a M sums in another order
+        C, mu, _, _ = screened_problem(1000, budget)
+        n_b, m_b = decimation_to_budget(1000, 1000, budget)
+        args = (C, 1.0, mu, mu, n_b, m_b, SolverConfig(pg_tolerance=1e-6))
         want = run_in("inline", monkeypatch, solve, *args)
         got = run_in(mode, monkeypatch, solve, *args)
         assert bits(
@@ -346,6 +351,13 @@ class TestScreenedAcrossWorkers:
         assert (got.k_min, got.bounds, got.solver_report.iterations) == (
             want.k_min, want.bounds, want.solver_report.iterations
         )
+        whole = solve(*args)
+        assert whole.solver_report.iterations == got.solver_report.iterations
+        for side in ("u", "v"):
+            np.testing.assert_allclose(
+                getattr(got.potentials, side), getattr(whole.potentials, side),
+                rtol=1e-12, atol=0,
+            )
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -485,8 +485,8 @@ def assert_matches_reference(mu, nu, K, **kwargs):
 
 
 class TestSinkhornAgainstReference:
-    """One pass over K per iteration against two whole products per
-    iteration: the same iterations and stop, the potentials up to rounding."""
+    """Row-chunk product passes against two whole products per iteration:
+    the same iterations and stop, the potentials up to rounding."""
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random weights"])
     @pytest.mark.parametrize("eta", [1.0, 0.1, 0.05])
