@@ -331,11 +331,18 @@ class TestScreenedAcrossWorkers:
         got = run_in(mode, monkeypatch, build_problem, mu, mu, K2, sr)
         assert got.k_min == k[np.ix_(sr.active_rows, sr.active_cols)].min()
 
-    @pytest.mark.parametrize("budget", [0.3, 0.99])
-    def test_whole_screenkhorn_result(self, mode, budget, monkeypatch):
-        # the sweeps' products with M span several product chunks here, the
-        # full layout's 1000 x 1000 M (budget 0.99) sixteen; on the default
-        # 32 MB chunks M is one chunk, whose a M sums in another order
+    def test_whole_screenkhorn_result(self, mode, monkeypatch):
+        self.check_whole_result(mode, 0.3, monkeypatch)
+
+    def test_whole_screenkhorn_result_full_layout(self, mode, monkeypatch):
+        # the full layout's 1000 x 1000 M spans sixteen product chunks
+        self.check_whole_result(mode, 0.99, monkeypatch)
+
+    @staticmethod
+    def check_whole_result(mode, budget, monkeypatch):
+        # the sweeps' products with M span several product chunks here; on
+        # the default 32 MB chunks M is one chunk, whose a M sums in another
+        # order
         C, mu, _, _ = screened_problem(1000, budget)
         n_b, m_b = decimation_to_budget(1000, 1000, budget)
         args = (C, 1.0, mu, mu, n_b, m_b, SolverConfig(pg_tolerance=1e-6))
